@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: build test race bench bench-diff bench-race fmt vet
+.PHONY: build test race bench bench-diff bench-race perf fmt vet
 
 build:
 	$(GO) build ./...
@@ -64,3 +64,14 @@ bench-race:
 	$(GO) test -race -bench ObsOverhead -benchtime 1x -run '^$$' ./internal/obs
 	$(GO) test -race -bench AdaptiveStratifiedZipf -benchtime 1x -run '^$$' ./internal/engine
 	$(GO) test -race -bench 'ConcurrentMixed|CoalescedStampede' -benchtime 1x -run '^$$' ./internal/engine
+
+# perf runs the repository benchmark (perfbench/, declared in
+# BENCHMARK.json): the three cfserve workloads one after another, in the
+# foreground, at the declared 25 measured seconds and seed 1. Each run
+# builds cfserve and the bench into .bench_build and prints a report ending
+# in one JSON line; the first run in a checkout also computes the exact-CF
+# oracle (about a minute). perfbench/README.md covers --trace 1 and seeds.
+perf:
+	for w in whatif-cold adaptive-hot live-churn; do \
+		bash perfbench/run.sh --workload $$w --seed 1 --seconds 25 --trace 0 || exit 1; \
+	done

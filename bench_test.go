@@ -1,7 +1,8 @@
 // Benchmarks regenerating every table and figure of the paper's evaluation,
-// one per artifact (see DESIGN.md's experiment index). Each benchmark runs
-// the corresponding experiment end-to-end at reduced scale; `cmd/cfbench
-// -exp <ID> -scale 1` prints the full-scale tables these are derived from.
+// one per artifact (`cfbench -list` prints the experiment index). Each
+// benchmark runs the corresponding experiment end-to-end at reduced scale;
+// `cmd/cfbench -exp <ID> -scale 1` prints the full-scale tables these are
+// derived from.
 //
 //	go test -bench=. -benchmem
 package samplecf_test

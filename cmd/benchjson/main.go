@@ -42,9 +42,10 @@ type result struct {
 	Iterations int64   `json:"iterations"`
 	NsPerOp    float64 `json:"ns_per_op"`
 	// Procs is the GOMAXPROCS the benchmark ran under, parsed from the
-	// "-N" name suffix go test appends (1 when absent). Concurrency
-	// benchmarks mean nothing without it — a regression report comparing a
-	// -cpu 1 run against a -cpu 8 baseline is comparing different machines.
+	// "-N" name suffix go test appends (1 when absent; see markProcs).
+	// Name keeps the suffix as printed. Concurrency benchmarks mean
+	// nothing without it — a regression report comparing a -cpu 1 run
+	// against a -cpu 8 baseline is comparing different machines.
 	Procs int `json:"procs"`
 	// BytesPerOp/AllocsPerOp are present with -benchmem.
 	BytesPerOp  *int64 `json:"bytes_per_op,omitempty"`
@@ -108,12 +109,70 @@ func main() {
 	}
 }
 
-// gomaxprocsSuffix strips the "-N" GOMAXPROCS suffix go test appends to
-// benchmark names, so baselines recorded on machines with different core
-// counts still line up.
-var gomaxprocsSuffix = regexp.MustCompile(`-\d+$`)
+// trailingNumber matches a "-N" name ending: go test's GOMAXPROCS suffix,
+// or part of a sub-benchmark's own name ("sharded-4").
+var trailingNumber = regexp.MustCompile(`-(\d+)$`)
 
-func normalizeName(name string) string { return gomaxprocsSuffix.ReplaceAllString(name, "") }
+// normalizeName is the name a result is matched on across runs: the
+// benchmark name without its GOMAXPROCS suffix, so baselines recorded on
+// machines with different core counts still line up. Documents that carry
+// no procs (0) fall back to stripping any trailing "-N".
+func normalizeName(r result) string {
+	switch {
+	case r.Procs > 1:
+		return strings.TrimSuffix(r.Name, "-"+strconv.Itoa(r.Procs))
+	case r.Procs == 1:
+		return r.Name
+	default:
+		return trailingNumber.ReplaceAllString(r.Name, "")
+	}
+}
+
+// markProcs sets each result's Procs from its name. go test appends
+// "-N" to every line it prints for a run at GOMAXPROCS N ≠ 1, and a
+// top-level benchmark name cannot itself contain "-", so a trailing "-N"
+// there is always the suffix. A sub-benchmark's own name may end in "-N",
+// though, so there the ending counts as the suffix only when every line of
+// the same family (top-level benchmark, same package) ends in the same
+// "-N": "BenchmarkHotShardCacheHit/sharded-4" beside an "unsharded"
+// sibling ran at procs 1. (Under a multi-value -cpu list a sub-benchmark
+// family mixes endings and is recorded at procs 1.)
+func markProcs(results []result) {
+	type family struct{ pkg, name string }
+	familyOf := func(r result) family {
+		top, _, _ := strings.Cut(r.Name, "/")
+		return family{r.Package, trailingNumber.ReplaceAllString(top, "")}
+	}
+	ending := func(r result) string {
+		if m := trailingNumber.FindStringSubmatch(r.Name); m != nil {
+			return m[1]
+		}
+		return ""
+	}
+	// shared maps a family to the ending all its lines agree on ("" when
+	// they disagree or carry none).
+	shared := make(map[family]string)
+	seen := make(map[family]bool)
+	for _, r := range results {
+		f, e := familyOf(r), ending(r)
+		if !seen[f] {
+			seen[f], shared[f] = true, e
+		} else if shared[f] != e {
+			shared[f] = ""
+		}
+	}
+	for i := range results {
+		r := &results[i]
+		r.Procs = 1
+		e := ending(*r)
+		if e == "" || (strings.Contains(r.Name, "/") && shared[familyOf(*r)] != e) {
+			continue
+		}
+		if p, err := strconv.Atoi(e); err == nil && p > 0 {
+			r.Procs = p
+		}
+	}
+}
 
 // diff compares the fresh results against the baseline document at path and
 // reports per-benchmark deltas. It returns true when any benchmark's ns/op
@@ -130,7 +189,7 @@ func diff(w io.Writer, path string, fresh *document, threshold float64, exactRe 
 	}
 	baseBy := make(map[string]result, len(base.Results))
 	for _, r := range base.Results {
-		baseBy[normalizeName(r.Name)] = r
+		baseBy[normalizeName(r)] = r
 	}
 
 	type line struct {
@@ -141,7 +200,7 @@ func diff(w io.Writer, path string, fresh *document, threshold float64, exactRe 
 	var lines []line
 	regressed := false
 	for _, cur := range fresh.Results {
-		name := normalizeName(cur.Name)
+		name := normalizeName(cur)
 		old, ok := baseBy[name]
 		if !ok {
 			lines = append(lines, line{name: name, text: fmt.Sprintf("%-55s NEW  %12.0f ns/op", name, cur.NsPerOp)})
@@ -209,6 +268,7 @@ func parse(sc *bufio.Scanner) (*document, error) {
 			doc.Results = append(doc.Results, r)
 		}
 	}
+	markProcs(doc.Results)
 	return doc, sc.Err()
 }
 
@@ -222,12 +282,7 @@ func parseBenchLine(line string) (result, bool) {
 	if err != nil {
 		return result{}, false
 	}
-	r := result{Name: fields[0], Iterations: iters, Procs: 1}
-	if m := gomaxprocsSuffix.FindString(fields[0]); m != "" {
-		if p, err := strconv.Atoi(m[1:]); err == nil {
-			r.Procs = p
-		}
-	}
+	r := result{Name: fields[0], Iterations: iters}
 	// The remainder alternates value, unit.
 	for i := 2; i+1 < len(fields); i += 2 {
 		v, err := strconv.ParseFloat(fields[i], 64)

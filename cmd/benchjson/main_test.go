@@ -124,3 +124,56 @@ func TestParseProcs(t *testing.T) {
 		t.Errorf("document gomaxprocs = %d, want >= 1", doc.GoMaxProcs)
 	}
 }
+
+// TestParseProcsNumberedSubBenchmark covers a sub-benchmark whose own name
+// ends in "-N": at GOMAXPROCS=1 the ending is part of the name, and only a
+// suffix shared by the whole family is the procs suffix.
+func TestParseProcsNumberedSubBenchmark(t *testing.T) {
+	cases := []struct {
+		name      string
+		input     string
+		wantProcs []int
+		wantKeys  []string
+	}{{
+		name: "no procs suffix",
+		input: "pkg: samplecf/internal/engine\n" +
+			"BenchmarkHotShardCacheHit/unsharded  100  540688 ns/op\n" +
+			"BenchmarkHotShardCacheHit/sharded-4  100  157561 ns/op\n",
+		wantProcs: []int{1, 1},
+		wantKeys:  []string{"BenchmarkHotShardCacheHit/unsharded", "BenchmarkHotShardCacheHit/sharded-4"},
+	}, {
+		name: "procs suffix",
+		input: "pkg: samplecf/internal/engine\n" +
+			"BenchmarkHotShardCacheHit/unsharded-2  100  540688 ns/op\n" +
+			"BenchmarkHotShardCacheHit/sharded-4-2  100  157561 ns/op\n",
+		wantProcs: []int{2, 2},
+		wantKeys:  []string{"BenchmarkHotShardCacheHit/unsharded", "BenchmarkHotShardCacheHit/sharded-4"},
+	}, {
+		name: "top-level names beside a numbered family",
+		input: "pkg: samplecf/internal/engine\n" +
+			"BenchmarkCacheHit-2  100  10.0 ns/op\n" +
+			"BenchmarkHotShardCacheHit/unsharded  100  540688 ns/op\n" +
+			"BenchmarkHotShardCacheHit/sharded-4  100  157561 ns/op\n",
+		wantProcs: []int{2, 1, 1},
+		wantKeys:  []string{"BenchmarkCacheHit", "BenchmarkHotShardCacheHit/unsharded", "BenchmarkHotShardCacheHit/sharded-4"},
+	}}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			doc, err := parse(bufio.NewScanner(strings.NewReader(tc.input)))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(doc.Results) != len(tc.wantProcs) {
+				t.Fatalf("parsed %d results, want %d", len(doc.Results), len(tc.wantProcs))
+			}
+			for i, r := range doc.Results {
+				if r.Procs != tc.wantProcs[i] {
+					t.Errorf("%s: procs = %d, want %d", r.Name, r.Procs, tc.wantProcs[i])
+				}
+				if got := normalizeName(r); got != tc.wantKeys[i] {
+					t.Errorf("%s: key %q, want %q", r.Name, got, tc.wantKeys[i])
+				}
+			}
+		})
+	}
+}

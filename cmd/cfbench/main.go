@@ -1,6 +1,5 @@
-// Command cfbench runs the paper-reproduction experiments (E1-E10; see
-// DESIGN.md for the experiment index and EXPERIMENTS.md for recorded
-// results).
+// Command cfbench runs the paper-reproduction experiments registered in
+// internal/experiments; -list prints the index, one artifact per ID.
 //
 //	cfbench -list                 # enumerate experiments
 //	cfbench -exp E1 -scale 0.2    # run one at 20% scale

@@ -11,6 +11,7 @@ import (
 	"os/exec"
 	"path/filepath"
 	"strings"
+	"sync"
 	"syscall"
 	"testing"
 	"time"
@@ -120,10 +121,26 @@ func TestCfserveGracefulShutdown(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	dieWithParent(cmd)
 	if err := cmd.Start(); err != nil {
 		t.Fatal(err)
 	}
-	defer cmd.Process.Kill()
+	// One goroutine reaps the child, started on first use; the cleanup
+	// kills the child (a no-op once it has exited) and waits for the reap,
+	// so no path leaves it running.
+	exited := make(chan struct{})
+	var waitErr error
+	var reap sync.Once
+	wait := func() {
+		reap.Do(func() {
+			go func() { waitErr = cmd.Wait(); close(exited) }()
+		})
+	}
+	t.Cleanup(func() {
+		_ = cmd.Process.Kill()
+		wait()
+		<-exited
+	})
 
 	// The first log line reports the bound address.
 	sc := bufio.NewScanner(stderr)
@@ -159,12 +176,11 @@ func TestCfserveGracefulShutdown(t *testing.T) {
 	if err := cmd.Process.Signal(syscall.SIGTERM); err != nil {
 		t.Fatal(err)
 	}
-	done := make(chan error, 1)
-	go func() { done <- cmd.Wait() }()
+	wait()
 	select {
-	case err := <-done:
-		if err != nil {
-			t.Fatalf("cfserve exited non-zero after SIGTERM: %v", err)
+	case <-exited:
+		if waitErr != nil {
+			t.Fatalf("cfserve exited non-zero after SIGTERM: %v", waitErr)
 		}
 	case <-time.After(15 * time.Second):
 		t.Fatal("cfserve did not exit within 15s of SIGTERM")

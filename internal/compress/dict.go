@@ -31,7 +31,7 @@ type PageDict struct {
 	// (SQL Server PAGE compression does this).
 	EntryNS bool
 	// BitPack stores row pointers in ⌈log₂ m⌉ BITS instead of whole bytes —
-	// the pointer-granularity ablation DESIGN.md calls out. The paper's p is
+	// the pointer-granularity ablation. The paper's p is
 	// byte-granular ("the size of the pointer in bytes"); bit packing shows
 	// what that rounding costs.
 	BitPack bool

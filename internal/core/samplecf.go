@@ -187,9 +187,9 @@ func SampleCF(src sampling.RowSource, schema *value.Schema, opts Options) (Estim
 	var rows []value.Row
 	switch opts.Method {
 	case MethodUniformWR:
-		rows, err = sampling.UniformWR(src, r, g)
+		return sampleCFInto(sampling.UniformWRInto, src, schema, n, r, g, opts)
 	case MethodUniformWOR:
-		rows, err = sampling.UniformWOR(src, r, g)
+		return sampleCFInto(sampling.UniformWORInto, src, schema, n, r, g, opts)
 	case MethodBlock:
 		if opts.Pages == nil {
 			return Estimate{}, fmt.Errorf("core: block sampling requires Options.Pages")
@@ -214,6 +214,30 @@ func SampleCF(src sampling.RowSource, schema *value.Schema, opts Options) (Estim
 	sampleDur := time.Since(start)
 
 	est, err := estimateFromSample(rows, n, keySchema, project, opts)
+	if err != nil {
+		return Estimate{}, err
+	}
+	est.SampleDuration = sampleDur
+	return est, nil
+}
+
+// sampleCFInto is SampleCF's row-sampling route: the draw (uniform with
+// or without replacement) goes straight into a full-schema arena — a byte
+// gather for record-store sources — and the index is prepared from it, so
+// no sampled row is ever materialized.
+func sampleCFInto(draw func(sampling.RowSource, int64, *rng.RNG, *value.RecordArena) error,
+	src sampling.RowSource, schema *value.Schema, n, r int64, g *rng.RNG, opts Options) (Estimate, error) {
+	start := time.Now()
+	sample := value.NewRecordArena(schema, int(r))
+	if err := draw(src, r, g, sample); err != nil {
+		return Estimate{}, fmt.Errorf("core: sampling: %w", err)
+	}
+	sampleDur := time.Since(start)
+	p, err := PrepareFromArena(sample, n, opts.KeyColumns)
+	if err != nil {
+		return Estimate{}, err
+	}
+	est, err := p.Estimate(opts)
 	if err != nil {
 		return Estimate{}, err
 	}
@@ -642,32 +666,21 @@ func trueCF(src RowScanner, keyCols []string, codec compress.Codec, pageSize, wo
 }
 
 // scanIntoArena fills ar with the key projection of every row of src, row i
-// of the table at arena slot i. Sources with a scan-stable view shard the
-// scan across the worker group — the arena is pre-grown and each worker
-// encodes a contiguous row range into its disjoint slots, preserving scan
-// order exactly — with a sequential Scan fallback for everything else. The
-// gate is whole-scan stability, not bare Row access: a mutable table's Row
-// can be individually lock-safe while writers commit between calls. Two
-// routes qualify: the source itself is a sampling.StableRowSource (frozen
-// workload/virtual tables), or it publishes copy-on-write snapshots
-// (catalog.SnapshotProvider) — then the pinned snapshot is the stable view
-// and the scan runs against it without ever touching the table's lock. A
-// snapshot that disagrees with the row count the arena was sized for means
-// a mutation slipped between the two reads; those fall back to Scan.
+// of the table at arena slot i. Sources with a scan-stable view have the
+// key columns projected out of that view's records (sampling.ScanRecords:
+// byte ranges of a record store, or Row + encode for a virtual table),
+// sharded across the worker group — the arena is pre-grown and each worker
+// fills a contiguous row range of disjoint slots, preserving scan order
+// exactly. Everything else takes a sequential Scan. The gate is whole-scan
+// stability, not bare Row access: a mutable table's Row can be
+// individually lock-safe while writers commit between calls.
 func scanIntoArena(src RowScanner, ar *value.RecordArena, project []int, workers int) error {
 	n := int(src.NumRows())
 	if ss, ok := src.(ShardScanner); ok && workers > 1 && ss.NumShards() > 1 {
 		return scanShardsIntoArena(ss, ar, project, workers)
 	}
-	rs, ok := src.(sampling.StableRowSource)
-	if !ok && workers > 1 {
-		if sp, sok := src.(catalog.SnapshotProvider); sok {
-			if view, _, err := sp.SnapshotRows(); err == nil && view.NumRows() == int64(n) {
-				rs, ok = view, true
-			}
-		}
-	}
-	if !ok || workers <= 1 {
+	view, ok := stableView(src, n)
+	if !ok {
 		krow := make(value.Row, len(project))
 		return src.Scan(func(_ int64, row value.Row) error {
 			for i, p := range project {
@@ -676,16 +689,27 @@ func scanIntoArena(src RowScanner, ar *value.RecordArena, project []int, workers
 			return ar.Append(krow)
 		})
 	}
+	proj, err := value.NewProjection(src.Schema(), project)
+	if err != nil {
+		return err
+	}
 	ar.Grow(n)
+	fill := func(lo, hi int) error {
+		var buf []byte
+		return sampling.ScanRecords(view, src.Schema(), int64(lo), int64(hi), func(i int64, rec []byte) error {
+			buf = proj.AppendRecord(buf[:0], rec)
+			return ar.SetRec(int(i), buf)
+		})
+	}
+	if workers <= 1 {
+		return fill(0, n)
+	}
 	chunk := (n + workers - 1) / workers
 	errs := make([]error, workers)
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		lo := w * chunk
-		hi := lo + chunk
-		if hi > n {
-			hi = n
-		}
+		hi := min(lo+chunk, n)
 		if lo >= hi {
 			break
 		}
@@ -693,21 +717,7 @@ func scanIntoArena(src RowScanner, ar *value.RecordArena, project []int, workers
 		go func(w, lo, hi int) {
 			defer wg.Done()
 			defer workgroup.Recover(&errs[w])
-			krow := make(value.Row, len(project))
-			for i := lo; i < hi; i++ {
-				row, err := rs.Row(int64(i))
-				if err != nil {
-					errs[w] = err
-					return
-				}
-				for c, p := range project {
-					krow[c] = row[p]
-				}
-				if err := ar.SetRow(i, krow); err != nil {
-					errs[w] = err
-					return
-				}
-			}
+			errs[w] = fill(lo, hi)
 		}(w, lo, hi)
 	}
 	wg.Wait()
@@ -717,6 +727,24 @@ func scanIntoArena(src RowScanner, ar *value.RecordArena, project []int, workers
 		}
 	}
 	return nil
+}
+
+// stableView returns a scan-stable view of src's n rows: src itself when
+// it is a sampling.StableRowSource (frozen workload and virtual tables),
+// or the pinned copy-on-write snapshot of a catalog.SnapshotProvider,
+// read without ever touching the table's lock. A snapshot that disagrees
+// with n means a mutation slipped between the two reads; there is no view
+// then, and the caller falls back to Scan.
+func stableView(src RowScanner, n int) (sampling.RowSource, bool) {
+	if rs, ok := src.(sampling.StableRowSource); ok {
+		return rs, true
+	}
+	if sp, ok := src.(catalog.SnapshotProvider); ok {
+		if view, _, err := sp.SnapshotRows(); err == nil && view.NumRows() == int64(n) {
+			return view, true
+		}
+	}
+	return nil, false
 }
 
 // scanShardsIntoArena fills ar shard-parallel: shard s's rows land in the

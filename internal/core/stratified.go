@@ -101,9 +101,10 @@ func EquiDepthFromKeys(keys [][]byte, strata int) [][]byte {
 
 // StratifyTable buckets src's rows by key range under the index projection:
 // the one O(n) scan a stratified estimation needs (the engine caches the
-// result per table version).
+// result per table version). Keys are projected out of the source's
+// records; no row is decoded when src has a record store.
 func StratifyTable(src sampling.RowSource, schema *value.Schema, keyCols []string, bounds [][]byte) (*sampling.StrataDirectory, error) {
-	keySchema, project, err := keyProjection(schema, keyCols)
+	_, project, err := keyProjection(schema, keyCols)
 	if err != nil {
 		return nil, err
 	}
@@ -111,14 +112,11 @@ func StratifyTable(src sampling.RowSource, schema *value.Schema, keyCols []strin
 	if err != nil {
 		return nil, err
 	}
-	krow := make(value.Row, len(project))
-	keyOf := func(row value.Row, buf []byte) ([]byte, error) {
-		for i, p := range project {
-			krow[i] = row[p]
-		}
-		return value.EncodeKey(keySchema, krow, buf)
+	proj, err := value.NewProjection(schema, project)
+	if err != nil {
+		return nil, err
 	}
-	return sampling.BuildStrataDirectory(src, ks, keyOf)
+	return sampling.BuildStrataDirectory(src, schema, ks, proj.AppendKey)
 }
 
 // StratumArm is one stratum's sampling stream in a stratified estimation —

@@ -7,8 +7,8 @@ import (
 
 // This file encodes the paper's analytical guarantees as checkable
 // functions. Where the published text leaves constants implicit, the
-// derivation used here is recorded in DESIGN.md ("Reconstructed analytical
-// model") and validated empirically by experiments E1-E5.
+// derivation used here is written out in each function's comment and
+// validated empirically by experiments E1-E5.
 
 // Theorem1StdDevBound returns the paper's bound on the standard deviation
 // of CF'_NS: σ ≤ 1/(2√(n·f)) = 1/(2√r).

@@ -235,7 +235,13 @@ func TestAnalyticNSMatchesCodec(t *testing.T) {
 	// The analytical CF'_NS must equal the engine codec's CF on the same
 	// sample rows.
 	tab := genTable(t, 1000, 50, distrib.NewUniformLen(0, 20), 37)
-	rows := tab.Rows()[:200]
+	rows := make([]value.Row, 200)
+	for i := range rows {
+		var err error
+		if rows[i], err = tab.Row(int64(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
 	analytic, err := AnalyticNS(tab.Schema(), rows)
 	if err != nil {
 		t.Fatal(err)

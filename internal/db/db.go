@@ -247,6 +247,7 @@ var _ catalog.PageProvider = (*Table)(nil)
 var _ catalog.IndexBoundaryProvider = (*Table)(nil)
 var _ catalog.SnapshotProvider = (*Table)(nil)
 var _ sampling.StableRowSource = (*Snapshot)(nil)
+var _ sampling.RecordSource = (*Snapshot)(nil)
 
 // Name implements catalog.Table.
 func (t *Table) Name() string { return t.name }

@@ -52,7 +52,8 @@ var (
 // Snapshot is one published point-in-time view: the full-schema rows in
 // heap scan order, their storage keys, and the epoch the view was
 // published at. It is immutable and safe to retain and read from any
-// number of goroutines; it implements sampling.StableRowSource.
+// number of goroutines; it implements sampling.StableRowSource and
+// sampling.RecordSource.
 type Snapshot struct {
 	ar    *value.RecordArena // frozen: rows in heap scan order
 	rids  []uint64           // parallel ridKey per row (frozen prefix)
@@ -71,6 +72,10 @@ func (s *Snapshot) Row(i int64) (value.Row, error) {
 	}
 	return s.ar.Row(int(i))
 }
+
+// Records implements sampling.RecordSource: the record half of the frozen
+// arena, so draws and full scans read the snapshot as bytes.
+func (s *Snapshot) Records() []byte { return s.ar.Recs() }
 
 // StableRows marks the snapshot scan-stable (sampling.StableRowSource).
 func (s *Snapshot) StableRows() {}

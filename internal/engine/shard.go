@@ -516,7 +516,7 @@ func (e *Engine) runShardedAdaptive(ctx context.Context, req Request, pkey preci
 			return err
 		}
 		full := value.NewRecordArena(req.Table.Schema(), int(extra))
-		if err := sampling.ExtendWRInto(l.table, full, extra, l.seed, l.round); err != nil {
+		if err := sampling.ExtendWRInto(pinnedSource(l.table), full, extra, l.seed, l.round); err != nil {
 			return err
 		}
 		proj, err := core.ProjectSample(full, req.KeyColumns)

@@ -123,14 +123,18 @@ func (e *Engine) resolveBounds(tab Table, epoch uint64, keyCols []string, strata
 			return core.EquiDepthFromKeys(keys, strata), nil
 		}
 	}
-	return core.PilotBoundaries(tab, tab.Schema(), keyCols, strata)
+	return core.PilotBoundaries(pinnedSourceAt(tab, epoch), tab.Schema(), keyCols, strata)
 }
 
 // tableArms builds the per-stratum arms of one catalog table — the whole
 // table, or one shard of a partitioned one — resolving the directory through
 // the cache and wiring the rows-per-stratum ledger into each arm's draws.
+// The directory scan and the arms' draws read the table's snapshot at
+// epoch when one is published, so both see the row set the directory
+// indexes and read it as records.
 func (e *Engine) tableArms(tab Table, epoch uint64, keyCols []string, strata int, seed uint64) ([]core.StratumArm, error) {
 	schema := tab.Schema()
+	src := pinnedSourceAt(tab, epoch)
 	ent := e.strataDirs.entry(dirKey{
 		inst: tab.InstanceID(), epoch: epoch,
 		columns: strings.Join(keyCols, "\x00"), strata: strata,
@@ -142,12 +146,12 @@ func (e *Engine) tableArms(tab Table, epoch uint64, keyCols []string, strata int
 			ent.err = err
 			return
 		}
-		ent.dir, ent.err = core.StratifyTable(tab, schema, keyCols, bounds)
+		ent.dir, ent.err = core.StratifyTable(src, schema, keyCols, bounds)
 	})
 	if ent.err != nil {
 		return nil, ent.err
 	}
-	arms := core.DirectoryArms(tab, schema, keyCols, ent.dir, seed)
+	arms := core.DirectoryArms(src, schema, keyCols, ent.dir, seed)
 	for i := range arms {
 		e.instrumentArm(&arms[i], i)
 	}

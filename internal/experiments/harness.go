@@ -8,7 +8,8 @@ import (
 )
 
 // Config scales an experiment run. The defaults target interactive use;
-// Scale=1 reproduces the full parameterization recorded in EXPERIMENTS.md.
+// Scale=1 runs each experiment's full parameterization (`cfbench -exp <ID>
+// -scale 1`).
 type Config struct {
 	// Scale multiplies table sizes and trial counts; 1.0 = full scale,
 	// smaller values shrink runs proportionally (floors keep statistics

@@ -20,8 +20,8 @@ import (
 // or were resumed across calls.
 
 // ExtendWRInto appends `extra` rows drawn uniformly with replacement —
-// round `round` of the resumable draw keyed by seed — encoding each
-// straight into the arena. Rounds are mutually independent WR draws, so
+// round `round` of the resumable draw keyed by seed — straight into the
+// arena. Rounds are mutually independent WR draws, so
 // the concatenation of rounds 0..k is itself a uniform WR sample of
 // Σ sizes rows.
 func ExtendWRInto(src RowSource, ar *value.RecordArena, extra int64, seed uint64, round int) error {
@@ -39,17 +39,7 @@ func ExtendWRInto(src RowSource, ar *value.RecordArena, extra int64, seed uint64
 		return fmt.Errorf("sampling: source is empty")
 	}
 	g := rng.New(seed).Derive(uint64(round))
-	for i := int64(0); i < extra; i++ {
-		row, err := src.Row(g.Int63n(n))
-		if err != nil {
-			return fmt.Errorf("sampling: row fetch: %w", err)
-		}
-		if err := ar.Append(row); err != nil {
-			return fmt.Errorf("sampling: encode row: %w", err)
-		}
-	}
-	metricRowsDrawn.Add(uint64(extra))
-	return nil
+	return gather(src, ar, extra, func() int64 { return g.Int63n(n) })
 }
 
 // WORExtendIndices draws `extra` distinct indices from [0, n) that avoid

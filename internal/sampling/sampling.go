@@ -49,6 +49,98 @@ type StableRowSource interface {
 	StableRows()
 }
 
+// RecordSource is a RowSource whose rows sit in one frozen, records-only
+// store: Records() holds NumRows()·w bytes, row i's fixed-width record
+// (value.EncodeRecord under the source's schema, w its RowWidth) at byte
+// offset i·w. A store never changes once handed out — a new table version
+// builds a new one — so readers slice it from any goroutine without
+// copying or decoding. Materialized workload tables and live-table
+// snapshots implement it.
+type RecordSource interface {
+	RowSource
+	// Records returns the store. Callers must not modify it.
+	Records() []byte
+}
+
+// gather appends count rows of src to ar, row pick() for each in turn. It
+// is the draw primitive every row draw into an arena runs through (with
+// or without replacement, whole table or one stratum), and the only place
+// that chooses how a drawn row leaves storage:
+// a RecordSource's rows are byte-copied out of its store and keyed in
+// place (value.RecordArena.AppendRec); any other source — a virtual table,
+// an unsnapshotted db table, a SliceSource — materializes each row with
+// Row and encodes it with Append. pick runs once per row on either path,
+// so a given RNG stream draws the same rows and yields the same bytes.
+func gather(src RowSource, ar *value.RecordArena, count int64, pick func() int64) error {
+	n := src.NumRows()
+	if rs, ok := src.(RecordSource); ok {
+		recs, w := rs.Records(), int64(ar.RowWidth())
+		if int64(len(recs)) != n*w {
+			return fmt.Errorf("sampling: record store of %d bytes does not hold %d rows of %d", len(recs), n, w)
+		}
+		for k := int64(0); k < count; k++ {
+			i := pick()
+			if i < 0 || i >= n {
+				return fmt.Errorf("sampling: row %d out of range [0,%d)", i, n)
+			}
+			if err := ar.AppendRec(recs[i*w : (i+1)*w]); err != nil {
+				return err
+			}
+		}
+	} else {
+		for k := int64(0); k < count; k++ {
+			row, err := src.Row(pick())
+			if err != nil {
+				return fmt.Errorf("sampling: row fetch: %w", err)
+			}
+			if err := ar.Append(row); err != nil {
+				return fmt.Errorf("sampling: encode row: %w", err)
+			}
+		}
+	}
+	metricRowsDrawn.Add(uint64(count))
+	return nil
+}
+
+// ScanRecords calls fn(i, rec) for every row i in [lo, hi) of src, in
+// order, with rec row i's fixed-width record under schema: the full-table
+// counterpart of gather, for O(n) readers such as stratum directories and
+// ground-truth scans. A RecordSource hands out slices of its store; any
+// other source materializes Row(i) and encodes it into a scratch buffer,
+// so fn must not retain rec past the call.
+func ScanRecords(src RowSource, schema *value.Schema, lo, hi int64, fn func(i int64, rec []byte) error) error {
+	n, w := src.NumRows(), int64(schema.RowWidth())
+	if lo < 0 || hi > n || lo > hi {
+		return fmt.Errorf("sampling: scan range [%d,%d) outside [0,%d)", lo, hi, n)
+	}
+	if rs, ok := src.(RecordSource); ok {
+		recs := rs.Records()
+		if int64(len(recs)) != n*w {
+			return fmt.Errorf("sampling: record store of %d bytes does not hold %d rows of %d", len(recs), n, w)
+		}
+		for i := lo; i < hi; i++ {
+			if err := fn(i, recs[i*w:(i+1)*w:(i+1)*w]); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
+	var buf []byte
+	for i := lo; i < hi; i++ {
+		row, err := src.Row(i)
+		if err != nil {
+			return fmt.Errorf("sampling: row fetch: %w", err)
+		}
+		if buf, err = value.EncodeRecord(schema, row, buf[:0]); err != nil {
+			return fmt.Errorf("sampling: encode row: %w", err)
+		}
+		if err := fn(i, buf); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
 // Stream is a one-pass row iterator, the input shape for reservoir and
 // Bernoulli sampling.
 type Stream interface {
@@ -65,56 +157,37 @@ type PageSource interface {
 	PageRows(p int) ([]value.Row, error)
 }
 
-// UniformWR draws r rows uniformly with replacement — the paper's sampling
-// model. The result length is exactly r.
-func UniformWR(src RowSource, r int64, g *rng.RNG) ([]value.Row, error) {
-	n := src.NumRows()
-	if n == 0 {
-		return nil, fmt.Errorf("sampling: source is empty")
-	}
-	if r < 0 {
-		return nil, fmt.Errorf("sampling: negative sample size %d", r)
-	}
-	out := make([]value.Row, 0, r)
-	for i := int64(0); i < r; i++ {
-		row, err := src.Row(g.Int63n(n))
-		if err != nil {
-			return nil, fmt.Errorf("sampling: row fetch: %w", err)
-		}
-		out = append(out, row)
-	}
-	metricRowsDrawn.Add(uint64(r))
-	return out, nil
-}
-
-// UniformWOR draws r distinct rows uniformly without replacement using
-// Floyd's algorithm (O(r) draws, O(r) memory). It errors if r > n.
-func UniformWOR(src RowSource, r int64, g *rng.RNG) ([]value.Row, error) {
-	order, err := WORIndices(src.NumRows(), r, g)
+// UniformWORInto draws r distinct rows uniformly without replacement —
+// Floyd's algorithm, O(r) draws and memory, in WORIndices' draw order —
+// straight into the arena. It errors if r > n.
+func UniformWORInto(src RowSource, r int64, g *rng.RNG, ar *value.RecordArena) error {
+	order, err := floyd(src.NumRows(), r, g)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	out := make([]value.Row, 0, r)
-	for _, idx := range order {
-		row, err := src.Row(idx)
-		if err != nil {
-			return nil, fmt.Errorf("sampling: row fetch: %w", err)
-		}
-		out = append(out, row)
-	}
-	return out, nil
+	k := 0
+	return gather(src, ar, r, func() int64 { k++; return order[k-1] })
 }
 
 // WORIndices draws r distinct indices uniformly from [0, n) via Floyd's
-// algorithm, in the same draw order UniformWOR visits rows — callers that
-// gather rows from an arena by index get byte-identical samples to the
-// row-at-a-time path. The rows-drawn metric is observed here, at the index
-// draw, so the row-at-a-time route and the arena-gather route count alike.
+// algorithm, in the same draw order UniformWORInto visits rows — callers
+// that gather rows from an arena by index get byte-identical samples. The
+// rows-drawn metric is observed here, at the index draw, since no gather
+// follows inside this package.
 func WORIndices(n, r int64, g *rng.RNG) ([]int64, error) {
+	order, err := floyd(n, r, g)
+	if err == nil {
+		metricRowsDrawn.Add(uint64(r))
+	}
+	return order, err
+}
+
+// floyd draws r distinct indices uniformly from [0, n) by Floyd's
+// algorithm.
+func floyd(n, r int64, g *rng.RNG) ([]int64, error) {
 	if r < 0 || r > n {
 		return nil, fmt.Errorf("sampling: WOR size %d outside [0,%d]", r, n)
 	}
-	metricRowsDrawn.Add(uint64(r))
 	chosen := make(map[int64]struct{}, r)
 	order := make([]int64, 0, r)
 	for j := n - r; j < n; j++ {
@@ -128,10 +201,9 @@ func WORIndices(n, r int64, g *rng.RNG) ([]int64, error) {
 	return order, nil
 }
 
-// UniformWRInto draws r rows uniformly with replacement and encodes each
-// straight into the arena — the engine's fresh-sample route, with no
-// intermediate []value.Row. The draw sequence is identical to UniformWR's,
-// so a given (source, r, seed) yields the same sample either way.
+// UniformWRInto draws r rows uniformly with replacement — the paper's
+// sampling model — straight into the arena, with no intermediate
+// []value.Row: row g.Int63n(n) for each of the r draws, in order.
 func UniformWRInto(src RowSource, r int64, g *rng.RNG, ar *value.RecordArena) error {
 	if err := drawPoint.Check(); err != nil {
 		return err
@@ -143,17 +215,7 @@ func UniformWRInto(src RowSource, r int64, g *rng.RNG, ar *value.RecordArena) er
 	if r < 0 {
 		return fmt.Errorf("sampling: negative sample size %d", r)
 	}
-	for i := int64(0); i < r; i++ {
-		row, err := src.Row(g.Int63n(n))
-		if err != nil {
-			return fmt.Errorf("sampling: row fetch: %w", err)
-		}
-		if err := ar.Append(row); err != nil {
-			return fmt.Errorf("sampling: encode row: %w", err)
-		}
-	}
-	metricRowsDrawn.Add(uint64(r))
-	return nil
+	return gather(src, ar, r, func() int64 { return g.Int63n(n) })
 }
 
 // Bernoulli includes each stream row independently with probability f.

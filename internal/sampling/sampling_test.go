@@ -20,10 +20,40 @@ func intRows(n int) []value.Row {
 
 func rowID(r value.Row) int { return int(value.DecodeInt32(r[0])) }
 
+// intSchema is the schema of intRows.
+var intSchema = value.MustSchema(value.Column{Name: "id", Type: value.Int32()})
+
+// uniformWR draws r rows of src with UniformWRInto and decodes them back.
+func uniformWR(src RowSource, r int64, g *rng.RNG) ([]value.Row, error) {
+	return drawRows(UniformWRInto, src, r, g)
+}
+
+// uniformWOR draws r rows of src with UniformWORInto and decodes them back.
+func uniformWOR(src RowSource, r int64, g *rng.RNG) ([]value.Row, error) {
+	return drawRows(UniformWORInto, src, r, g)
+}
+
+// drawRows runs one arena draw over intRows and decodes the sample.
+func drawRows(draw func(RowSource, int64, *rng.RNG, *value.RecordArena) error,
+	src RowSource, r int64, g *rng.RNG) ([]value.Row, error) {
+	ar := value.NewRecordArena(intSchema, int(max(r, 0)))
+	if err := draw(src, r, g, ar); err != nil {
+		return nil, err
+	}
+	rows := make([]value.Row, ar.Len())
+	for i := range rows {
+		var err error
+		if rows[i], err = ar.Row(i); err != nil {
+			return nil, err
+		}
+	}
+	return rows, nil
+}
+
 func TestUniformWRSizeAndRange(t *testing.T) {
 	src := SliceSource(intRows(100))
 	g := rng.New(1)
-	s, err := UniformWR(src, 500, g)
+	s, err := uniformWR(src, 500, g)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -57,7 +87,7 @@ func TestUniformWRUniformity(t *testing.T) {
 	g := rng.New(2)
 	counts := make([]int, n)
 	const draws = 40000
-	s, err := UniformWR(src, draws, g)
+	s, err := uniformWR(src, draws, g)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,7 +103,7 @@ func TestUniformWRUniformity(t *testing.T) {
 }
 
 func TestUniformWREmptySource(t *testing.T) {
-	if _, err := UniformWR(SliceSource(nil), 5, rng.New(1)); err == nil {
+	if _, err := uniformWR(SliceSource(nil), 5, rng.New(1)); err == nil {
 		t.Fatal("empty source accepted")
 	}
 }
@@ -82,7 +112,7 @@ func TestUniformWORDistinct(t *testing.T) {
 	const n = 200
 	src := SliceSource(intRows(n))
 	g := rng.New(3)
-	s, err := UniformWOR(src, 50, g)
+	s, err := uniformWOR(src, 50, g)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,7 +128,7 @@ func TestUniformWORDistinct(t *testing.T) {
 		seen[id] = true
 	}
 	// Full sample = permutation of everything.
-	full, err := UniformWOR(src, n, g)
+	full, err := uniformWOR(src, n, g)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,7 +142,7 @@ func TestUniformWORDistinct(t *testing.T) {
 	if len(seen) != n {
 		t.Fatalf("full WOR covered %d of %d", len(seen), n)
 	}
-	if _, err := UniformWOR(src, n+1, g); err == nil {
+	if _, err := uniformWOR(src, n+1, g); err == nil {
 		t.Fatal("r > n accepted")
 	}
 }
@@ -126,7 +156,7 @@ func TestUniformWORInclusionProbability(t *testing.T) {
 	g := rng.New(4)
 	counts := make([]int, n)
 	for trial := 0; trial < trials; trial++ {
-		s, err := UniformWOR(src, r, g)
+		s, err := uniformWOR(src, r, g)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -317,9 +347,11 @@ func TestSliceSourceBounds(t *testing.T) {
 func BenchmarkUniformWR(b *testing.B) {
 	src := SliceSource(intRows(1_000_000))
 	g := rng.New(1)
+	ar := value.NewRecordArena(intSchema, 1000)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := UniformWR(src, 1000, g); err != nil {
+		ar.Reset()
+		if err := UniformWRInto(src, 1000, g, ar); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -101,14 +101,15 @@ type StrataDirectory struct {
 	total  int64
 }
 
-// BuildStrataDirectory scans src's rows in order, encoding each row's index
-// key with keyOf (append-style: keyOf(row, buf) returns the encoded key,
-// reusing buf's storage) and bucketing the row index by key range. Within a
-// stratum, row indices stay in table order — with a single stratum the
-// directory is the identity over [0, n), which is what keeps degenerate
-// stratified draws byte-identical to uniform ones.
-func BuildStrataDirectory(src RowSource, ks *KeyStrata,
-	keyOf func(row value.Row, buf []byte) ([]byte, error)) (*StrataDirectory, error) {
+// BuildStrataDirectory scans src's records (ScanRecords under schema) in
+// order, deriving each row's index key with keyOf (append-style:
+// keyOf(buf, rec) appends rec's key to buf, typically a
+// value.Projection's AppendKey) and bucketing the row index by key range.
+// Within a stratum, row indices stay in table order — with a single
+// stratum the directory is the identity over [0, n), which is what keeps
+// degenerate stratified draws byte-identical to uniform ones.
+func BuildStrataDirectory(src RowSource, schema *value.Schema, ks *KeyStrata,
+	keyOf func(buf, rec []byte) []byte) (*StrataDirectory, error) {
 	n := src.NumRows()
 	if n == 0 {
 		return nil, fmt.Errorf("sampling: source is empty")
@@ -124,17 +125,14 @@ func BuildStrataDirectory(src RowSource, ks *KeyStrata,
 		return d, nil
 	}
 	var buf []byte
-	for i := int64(0); i < n; i++ {
-		row, err := src.Row(i)
-		if err != nil {
-			return nil, fmt.Errorf("sampling: row fetch: %w", err)
-		}
-		buf, err = keyOf(row, buf[:0])
-		if err != nil {
-			return nil, fmt.Errorf("sampling: encode stratum key: %w", err)
-		}
+	err := ScanRecords(src, schema, 0, n, func(i int64, rec []byte) error {
+		buf = keyOf(buf[:0], rec)
 		s := ks.StratumOf(buf)
 		d.rows[s] = append(d.rows[s], i)
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	return d, nil
 }
@@ -157,8 +155,8 @@ func (d *StrataDirectory) Counts() []int64 {
 	return out
 }
 
-// WRInto draws r rows uniformly with replacement from stratum h, encoding
-// each straight into the arena — the fixed-size stratified draw. The g
+// WRInto draws r rows uniformly with replacement from stratum h straight
+// into the arena — the fixed-size stratified draw. The g
 // stream is caller-owned (one rng.New(StreamSeed(seed, h)) per stratum), so
 // with a single identity stratum the draw sequence is exactly UniformWRInto's.
 func (d *StrataDirectory) WRInto(src RowSource, h int, r int64, g *rng.RNG, ar *value.RecordArena) error {
@@ -170,17 +168,7 @@ func (d *StrataDirectory) WRInto(src RowSource, h int, r int64, g *rng.RNG, ar *
 		return fmt.Errorf("sampling: negative sample size %d", r)
 	}
 	nh := int64(len(idx))
-	for i := int64(0); i < r; i++ {
-		row, err := src.Row(idx[g.Int63n(nh)])
-		if err != nil {
-			return fmt.Errorf("sampling: row fetch: %w", err)
-		}
-		if err := ar.Append(row); err != nil {
-			return fmt.Errorf("sampling: encode row: %w", err)
-		}
-	}
-	metricRowsDrawn.Add(uint64(r))
-	return nil
+	return gather(src, ar, r, func() int64 { return idx[g.Int63n(nh)] })
 }
 
 // ExtendWRInto appends `extra` rows drawn uniformly with replacement from

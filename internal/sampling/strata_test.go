@@ -10,12 +10,18 @@ import (
 	"samplecf/internal/value"
 )
 
-// strataKeyOf encodes a single-column row's index key for directory builds.
-func strataKeyOf(t testing.TB, schema *value.Schema) func(value.Row, []byte) ([]byte, error) {
+// strataKeyOf derives a record's whole-row index key for directory builds.
+func strataKeyOf(t testing.TB, schema *value.Schema) func(buf, rec []byte) []byte {
 	t.Helper()
-	return func(row value.Row, buf []byte) ([]byte, error) {
-		return value.EncodeKey(schema, row, buf)
+	all := make([]int, schema.NumColumns())
+	for i := range all {
+		all[i] = i
 	}
+	p, err := value.NewProjection(schema, all)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return p.AppendKey
 }
 
 func TestKeyStrataStratumOf(t *testing.T) {
@@ -90,7 +96,7 @@ func TestStrataDirectorySingleStratumIdentity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dir, err := BuildStrataDirectory(src, ks, strataKeyOf(t, schema))
+	dir, err := BuildStrataDirectory(src, schema, ks, strataKeyOf(t, schema))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -129,7 +135,6 @@ func TestStrataDirectorySingleStratumIdentity(t *testing.T) {
 // stratum its key selects and per-stratum draws stay in-stratum.
 func TestStrataDirectoryPartition(t *testing.T) {
 	src, schema := resumableRows(t, 2000)
-	keyOf := strataKeyOf(t, schema)
 	// Boundaries on the encoded keys at rows 500/1000/1500 (row-%06d keys
 	// sort in row order).
 	var bounds [][]byte
@@ -138,7 +143,7 @@ func TestStrataDirectoryPartition(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		k, err := keyOf(row, nil)
+		k, err := value.EncodeKey(schema, row, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -148,7 +153,7 @@ func TestStrataDirectoryPartition(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dir, err := BuildStrataDirectory(src, ks, keyOf)
+	dir, err := BuildStrataDirectory(src, schema, ks, strataKeyOf(t, schema))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -180,12 +185,11 @@ func TestStrataDirectoryPartition(t *testing.T) {
 // in-stratum, and resumable across rounds.
 func TestStrataDirectoryWORExtend(t *testing.T) {
 	src, schema := resumableRows(t, 1000)
-	keyOf := strataKeyOf(t, schema)
 	mid, err := src.Row(500)
 	if err != nil {
 		t.Fatal(err)
 	}
-	midKey, err := keyOf(mid, nil)
+	midKey, err := value.EncodeKey(schema, mid, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -193,7 +197,7 @@ func TestStrataDirectoryWORExtend(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dir, err := BuildStrataDirectory(src, ks, keyOf)
+	dir, err := BuildStrataDirectory(src, schema, ks, strataKeyOf(t, schema))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -45,13 +45,10 @@ func NewRecordArena(schema *Schema, capRows int) *RecordArena {
 		recs:   make([]byte, 0, capRows*schema.RowWidth()),
 		keys:   make([]byte, 0, capRows*schema.RowWidth()),
 	}
-	off := 0
 	for i := 0; i < schema.NumColumns(); i++ {
-		t := schema.Column(i).Type
-		if !t.IsCharacter() {
-			a.intOffs = append(a.intOffs, off)
+		if !schema.Column(i).Type.IsCharacter() {
+			a.intOffs = append(a.intOffs, schema.ColumnOffsets()[i][0])
 		}
-		off += t.FixedWidth()
 	}
 	return a
 }
@@ -100,17 +97,19 @@ func (a *RecordArena) Append(row Row) error {
 func (a *RecordArena) appendUnchecked(row Row) {
 	start := len(a.recs)
 	for i, v := range row {
-		t := a.schema.Column(i).Type
-		a.recs = append(a.recs, v...)
-		for pad := t.FixedWidth() - len(v); pad > 0; pad-- {
-			a.recs = append(a.recs, t.PadByte())
-		}
+		a.recs = appendPadded(a.recs, a.schema.Column(i).Type, v)
 	}
 	a.keys = append(a.keys, a.recs[start:]...)
+	a.flipSigns(start)
+	a.n++
+}
+
+// flipSigns turns the record bytes copied into the key buffer at byte
+// offset start into the row's memcomparable key.
+func (a *RecordArena) flipSigns(start int) {
 	for _, off := range a.intOffs {
 		a.keys[start+off] ^= 0x80
 	}
-	a.n++
 }
 
 // AppendRec appends a row given its fixed-width record encoding (exactly
@@ -123,9 +122,7 @@ func (a *RecordArena) AppendRec(rec []byte) error {
 	start := len(a.recs)
 	a.recs = append(a.recs, rec...)
 	a.keys = append(a.keys, rec...)
-	for _, off := range a.intOffs {
-		a.keys[start+off] ^= 0x80
-	}
+	a.flipSigns(start)
 	a.n++
 	return nil
 }
@@ -151,9 +148,24 @@ func (a *RecordArena) SetRow(i int, row Row) error {
 		}
 	}
 	copy(a.keys[start:start+a.w], a.recs[start:start+a.w])
-	for _, o := range a.intOffs {
-		a.keys[start+o] ^= 0x80
+	a.flipSigns(start)
+	return nil
+}
+
+// SetRec overwrites row i in place with a fixed-width record (exactly
+// RowWidth bytes), deriving its key: SetRow for callers that already hold
+// the encoding, such as parallel fills from a record store.
+func (a *RecordArena) SetRec(i int, rec []byte) error {
+	if i < 0 || i >= a.n {
+		return fmt.Errorf("value: arena row %d out of range [0,%d)", i, a.n)
 	}
+	if len(rec) != a.w {
+		return fmt.Errorf("value: arena record is %d bytes, schema %s requires %d", len(rec), a.schema, a.w)
+	}
+	start := i * a.w
+	copy(a.recs[start:start+a.w], rec)
+	copy(a.keys[start:start+a.w], rec)
+	a.flipSigns(start)
 	return nil
 }
 
@@ -288,33 +300,75 @@ func (a *RecordArena) ProjectTo(dst *RecordArena, proj []int) error {
 		return fmt.Errorf("value: projection has %d columns, destination schema %s has %d",
 			len(proj), dst.schema, dst.schema.NumColumns())
 	}
-	// Resolve [start,end) source ranges per projected column, verifying
-	// type agreement.
-	offsets := a.schema.ColumnOffsets()
-	type span struct{ start, width int }
-	spans := make([]span, len(proj))
-	for i, p := range proj {
-		if p < 0 || p >= a.schema.NumColumns() {
-			return fmt.Errorf("value: projection index %d out of range", p)
-		}
-		if a.schema.Column(p).Type != dst.schema.Column(i).Type {
+	p, err := NewProjection(a.schema, proj)
+	if err != nil {
+		return err
+	}
+	for i, c := range proj {
+		if a.schema.Column(c).Type != dst.schema.Column(i).Type {
 			return fmt.Errorf("value: projected column %d type %s does not match destination %s",
-				p, a.schema.Column(p).Type, dst.schema.Column(i).Type)
+				c, a.schema.Column(c).Type, dst.schema.Column(i).Type)
 		}
-		spans[i] = span{start: offsets[p][0], width: offsets[p][1] - offsets[p][0]}
 	}
 	for r := 0; r < a.n; r++ {
-		base := r * a.w
-		for _, sp := range spans {
-			a.copySpan(dst, base+sp.start, sp.width)
-		}
+		dst.recs = p.AppendRecord(dst.recs, a.Rec(r))
+		dst.keys = p.AppendRecord(dst.keys, a.Key(r))
 		dst.n++
 	}
 	return nil
 }
 
-// copySpan appends one column span of one row to dst's buffers.
-func (a *RecordArena) copySpan(dst *RecordArena, start, width int) {
-	dst.recs = append(dst.recs, a.recs[start:start+width]...)
-	dst.keys = append(dst.keys, a.keys[start:start+width]...)
+// Projection extracts a column subset from fixed-width records of one
+// schema without decoding them. The projected record is the selected
+// columns' byte ranges concatenated in projection order; the projected key
+// is the same bytes with each integer column's sign bit flipped. Both equal
+// byte for byte what EncodeRecord and EncodeKey produce for the projected
+// Row, which is what lets full-table readers (stratum directories,
+// ground-truth scans) work straight off a record store.
+type Projection struct {
+	spans   []span // source byte ranges in output order, adjacent ranges merged
+	intOffs []int  // sign-byte offsets of integer columns in the output
+}
+
+// span is one [start, start+width) byte range of a source record.
+type span struct{ start, width int }
+
+// NewProjection resolves the columns at positions proj of schema s.
+func NewProjection(s *Schema, proj []int) (*Projection, error) {
+	p := &Projection{}
+	out := 0
+	for _, c := range proj {
+		if c < 0 || c >= s.NumColumns() {
+			return nil, fmt.Errorf("value: projection index %d out of range", c)
+		}
+		r := s.ColumnOffsets()[c]
+		if !s.Column(c).Type.IsCharacter() {
+			p.intOffs = append(p.intOffs, out)
+		}
+		out += r[1] - r[0]
+		if k := len(p.spans) - 1; k >= 0 && p.spans[k].start+p.spans[k].width == r[0] {
+			p.spans[k].width += r[1] - r[0]
+			continue
+		}
+		p.spans = append(p.spans, span{start: r[0], width: r[1] - r[0]})
+	}
+	return p, nil
+}
+
+// AppendRecord appends the projection of record rec to dst.
+func (p *Projection) AppendRecord(dst, rec []byte) []byte {
+	for _, sp := range p.spans {
+		dst = append(dst, rec[sp.start:sp.start+sp.width]...)
+	}
+	return dst
+}
+
+// AppendKey appends the memcomparable key of rec's projection to dst.
+func (p *Projection) AppendKey(dst, rec []byte) []byte {
+	start := len(dst)
+	dst = p.AppendRecord(dst, rec)
+	for _, off := range p.intOffs {
+		dst[start+off] ^= 0x80
+	}
+	return dst
 }

@@ -54,23 +54,51 @@ func ValidateRow(s *Schema, row Row) error {
 		return fmt.Errorf("value: row has %d columns, schema %s has %d", len(row), s, s.NumColumns())
 	}
 	for i, v := range row {
-		t := s.Column(i).Type
-		switch t.Kind {
-		case KindChar, KindVarChar:
-			if len(v) > t.Length {
-				return fmt.Errorf("value: column %q: payload %d bytes exceeds %s", s.Column(i).Name, len(v), t)
-			}
-		case KindInt32:
-			if len(v) != 4 {
-				return fmt.Errorf("value: column %q: INT payload must be 4 bytes, got %d", s.Column(i).Name, len(v))
-			}
-		case KindInt64:
-			if len(v) != 8 {
-				return fmt.Errorf("value: column %q: BIGINT payload must be 8 bytes, got %d", s.Column(i).Name, len(v))
-			}
+		if err := validateField(s.Column(i), v); err != nil {
+			return err
 		}
 	}
 	return nil
+}
+
+// validateField checks one payload against its column's type.
+func validateField(c Column, v []byte) error {
+	t := c.Type
+	switch t.Kind {
+	case KindChar, KindVarChar:
+		if len(v) > t.Length {
+			return fmt.Errorf("value: column %q: payload %d bytes exceeds %s", c.Name, len(v), t)
+		}
+	case KindInt32:
+		if len(v) != 4 {
+			return fmt.Errorf("value: column %q: INT payload must be 4 bytes, got %d", c.Name, len(v))
+		}
+	case KindInt64:
+		if len(v) != 8 {
+			return fmt.Errorf("value: column %q: BIGINT payload must be 8 bytes, got %d", c.Name, len(v))
+		}
+	}
+	return nil
+}
+
+// AppendField validates payload v against column c and appends its
+// fixed-width encoding (v padded to the type's width) to dst: EncodeRecord
+// for one column, for writers that encode rows column by column without
+// building a Row.
+func AppendField(dst []byte, c Column, v []byte) ([]byte, error) {
+	if err := validateField(c, v); err != nil {
+		return dst, err
+	}
+	return appendPadded(dst, c.Type, v), nil
+}
+
+// appendPadded appends v and then pad bytes up to t's fixed width.
+func appendPadded(dst []byte, t Type, v []byte) []byte {
+	dst = append(dst, v...)
+	for pad := t.FixedWidth() - len(v); pad > 0; pad-- {
+		dst = append(dst, t.PadByte())
+	}
+	return dst
 }
 
 // EncodeRecord appends the fixed-width (uncompressed) encoding of row to dst
@@ -81,19 +109,16 @@ func EncodeRecord(s *Schema, row Row, dst []byte) ([]byte, error) {
 		return dst, err
 	}
 	for i, v := range row {
-		t := s.Column(i).Type
-		dst = append(dst, v...)
-		for pad := t.FixedWidth() - len(v); pad > 0; pad-- {
-			dst = append(dst, t.PadByte())
-		}
+		dst = appendPadded(dst, s.Column(i).Type, v)
 	}
 	return dst, nil
 }
 
 // DecodeRecord parses a fixed-width record back into a Row, trimming the
 // padding from character columns. The returned payloads alias rec for
-// integers and are sub-slices for character data; callers that need the data
-// to outlive rec must Clone.
+// integers and are sub-slices for character data, each capped at its own
+// field so an append to one never writes into the next; callers that need
+// the data to outlive rec must Clone.
 func DecodeRecord(s *Schema, rec []byte) (Row, error) {
 	if len(rec) != s.RowWidth() {
 		return nil, fmt.Errorf("value: record is %d bytes, schema %s requires %d", len(rec), s, s.RowWidth())
@@ -103,7 +128,7 @@ func DecodeRecord(s *Schema, rec []byte) (Row, error) {
 	for i := 0; i < s.NumColumns(); i++ {
 		t := s.Column(i).Type
 		w := t.FixedWidth()
-		field := rec[off : off+w]
+		field := rec[off : off+w : off+w]
 		off += w
 		if t.IsCharacter() {
 			row[i] = TrimPadding(t, field)

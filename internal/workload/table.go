@@ -6,6 +6,7 @@ import (
 
 	"samplecf/internal/catalog"
 	"samplecf/internal/rng"
+	"samplecf/internal/sampling"
 	"samplecf/internal/value"
 )
 
@@ -63,34 +64,40 @@ func (s Spec) Schema() (*value.Schema, error) {
 func (s Spec) rowOf(i int64) value.Row {
 	row := make(value.Row, len(s.Cols))
 	for c, col := range s.Cols {
-		r := rng.New(s.Seed ^ uint64(c+1)*0xd1342543de82ef95 ^ uint64(i)*0x9e3779b97f4a7c15)
-		v := col.Gen.Dist().Draw(r)
-		row[c] = col.Gen.Payload(v)
+		row[c] = col.Gen.Payload(s.domainOf(i, c))
 	}
 	return row
 }
 
-// domainOf returns the domain index drawn for (row i, column c) — the same
-// draw rowOf makes, exposed for exact distinct counting.
+// domainOf returns the domain index drawn for (row i, column c) — the draw
+// rowOf makes, exposed for exact distinct counting.
 func (s Spec) domainOf(i int64, c int) int64 {
 	r := rng.New(s.Seed ^ uint64(c+1)*0xd1342543de82ef95 ^ uint64(i)*0x9e3779b97f4a7c15)
 	return s.Cols[c].Gen.Dist().Draw(r)
 }
 
-// Table is a fully materialized synthetic table. It implements
-// catalog.Table (the embedded Version supplies epoch + instance id;
-// physical reorders bump the epoch); AsPageSource adapts it for block
-// sampling.
+// Table is a fully materialized synthetic table. Its rows live in one
+// frozen, records-only store: n·RowWidth bytes holding each row's
+// fixed-width record (value.EncodeRecord) at offset i·RowWidth, with no
+// per-row heap objects, so draws gather bytes (sampling.RecordSource) and
+// the garbage collector has nothing to trace. The store is never written
+// in place — a re-layout builds a new one and bumps the epoch — so readers
+// holding the previous store keep a consistent view.
+//
+// Table implements catalog.Table (the embedded Version supplies epoch +
+// instance id); AsPageSource adapts it for block sampling.
 type Table struct {
 	catalog.Version
 	name   string
 	schema *value.Schema
-	rows   []value.Row
+	recs   []byte
 }
 
 var _ catalog.Table = (*Table)(nil)
+var _ sampling.RecordSource = (*Table)(nil)
 
-// Generate materializes a table from spec.
+// Generate materializes a table from spec, encoding each generated value
+// straight into the record store.
 func Generate(spec Spec) (*Table, error) {
 	if spec.N < 0 {
 		return nil, fmt.Errorf("workload: negative row count %d", spec.N)
@@ -102,25 +109,34 @@ func Generate(spec Spec) (*Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	rows := make([]value.Row, spec.N)
+	recs := make([]byte, 0, spec.N*int64(schema.RowWidth()))
 	for i := int64(0); i < spec.N; i++ {
-		rows[i] = spec.rowOf(i)
+		for c, col := range spec.Cols {
+			recs, err = value.AppendField(recs, schema.Column(c), col.Gen.Payload(spec.domainOf(i, c)))
+			if err != nil {
+				return nil, fmt.Errorf("workload: row %d: %w", i, err)
+			}
+		}
 	}
-	t := &Table{Version: catalog.NewVersion(), name: spec.Name, schema: schema, rows: rows}
+	t := &Table{Version: catalog.NewVersion(), name: spec.Name, schema: schema, recs: recs}
 	if spec.Layout == LayoutClustered {
 		t.SortByColumn(0)
 	}
 	return t, nil
 }
 
-// NewTableFromRows wraps existing rows (used by CSV import and tests).
+// NewTableFromRows encodes existing rows into a table (used by CSV import
+// and tests). Rows are validated here, once; the table keeps no reference
+// to them.
 func NewTableFromRows(name string, schema *value.Schema, rows []value.Row) (*Table, error) {
+	recs := make([]byte, 0, len(rows)*schema.RowWidth())
 	for i, r := range rows {
-		if err := value.ValidateRow(schema, r); err != nil {
+		var err error
+		if recs, err = value.EncodeRecord(schema, r, recs); err != nil {
 			return nil, fmt.Errorf("workload: row %d: %w", i, err)
 		}
 	}
-	return &Table{Version: catalog.NewVersion(), name: name, schema: schema, rows: rows}, nil
+	return &Table{Version: catalog.NewVersion(), name: name, schema: schema, recs: recs}, nil
 }
 
 // Name returns the table name.
@@ -130,18 +146,26 @@ func (t *Table) Name() string { return t.name }
 func (t *Table) Schema() *value.Schema { return t.schema }
 
 // NumRows implements sampling.RowSource.
-func (t *Table) NumRows() int64 { return int64(len(t.rows)) }
+func (t *Table) NumRows() int64 { return int64(len(t.recs) / t.schema.RowWidth()) }
 
-// Row implements sampling.RowSource.
-func (t *Table) Row(i int64) (value.Row, error) {
-	if i < 0 || i >= int64(len(t.rows)) {
-		return nil, fmt.Errorf("workload: row %d out of range [0,%d)", i, len(t.rows))
-	}
-	return t.rows[i], nil
+// Records implements sampling.RecordSource.
+func (t *Table) Records() []byte { return t.recs }
+
+// rec returns row i's record.
+func (t *Table) rec(i int64) []byte {
+	w := int64(t.schema.RowWidth())
+	return t.recs[i*w : (i+1)*w : (i+1)*w]
 }
 
-// Rows exposes the backing slice (not a copy; callers must not mutate).
-func (t *Table) Rows() []value.Row { return t.rows }
+// Row implements sampling.RowSource by decoding row i's record. The
+// payloads alias the store, which is never modified, so they are safe to
+// retain.
+func (t *Table) Row(i int64) (value.Row, error) {
+	if n := t.NumRows(); i < 0 || i >= n {
+		return nil, fmt.Errorf("workload: row %d out of range [0,%d)", i, n)
+	}
+	return value.DecodeRecord(t.schema, t.rec(i))
+}
 
 // StableRows marks the table as a sampling.StableRowSource: rows only move
 // through the explicit re-layout calls (SortByColumn, Shuffle) the owner
@@ -150,8 +174,12 @@ func (t *Table) StableRows() {}
 
 // Scan iterates all rows in storage order.
 func (t *Table) Scan(fn func(i int64, row value.Row) error) error {
-	for i, r := range t.rows {
-		if err := fn(int64(i), r); err != nil {
+	for i := int64(0); i < t.NumRows(); i++ {
+		row, err := t.Row(i)
+		if err != nil {
+			return err
+		}
+		if err := fn(i, row); err != nil {
 			return err
 		}
 	}
@@ -159,20 +187,45 @@ func (t *Table) Scan(fn func(i int64, row value.Row) error) error {
 }
 
 // SortByColumn physically sorts rows by the given column (clustered
-// layout). The reorder bumps the version epoch: row indices shift, so
-// anything keyed on the previous epoch (cached estimates, samples) is
-// stale.
+// layout), stable, into a new record store. The reorder bumps the version
+// epoch: row indices shift, so anything keyed on the previous epoch
+// (cached estimates, samples) is stale.
 func (t *Table) SortByColumn(col int) {
 	typ := t.schema.Column(col).Type
-	slices.SortStableFunc(t.rows, func(a, b value.Row) int {
-		return value.CompareValues(typ, a[col], b[col])
+	span := t.schema.ColumnOffsets()[col]
+	field := func(i int32) []byte { return t.rec(int64(i))[span[0]:span[1]] }
+	perm := t.identity()
+	slices.SortStableFunc(perm, func(a, b int32) int {
+		return value.CompareValues(typ, field(a), field(b))
 	})
-	t.Bump()
+	t.permute(perm)
 }
 
-// Shuffle randomizes physical row order with g and bumps the epoch.
+// Shuffle randomizes physical row order with g into a new record store and
+// bumps the epoch.
 func (t *Table) Shuffle(g *rng.RNG) {
-	g.Shuffle(len(t.rows), func(i, j int) { t.rows[i], t.rows[j] = t.rows[j], t.rows[i] })
+	perm := t.identity()
+	g.Shuffle(len(perm), func(i, j int) { perm[i], perm[j] = perm[j], perm[i] })
+	t.permute(perm)
+}
+
+// identity returns the identity permutation over the table's rows.
+func (t *Table) identity() []int32 {
+	perm := make([]int32, t.NumRows())
+	for i := range perm {
+		perm[i] = int32(i)
+	}
+	return perm
+}
+
+// permute replaces the store with one holding row perm[j] at position j,
+// and bumps the epoch.
+func (t *Table) permute(perm []int32) {
+	recs := make([]byte, 0, len(t.recs))
+	for _, i := range perm {
+		recs = append(recs, t.rec(int64(i))...)
+	}
+	t.recs = recs
 	t.Bump()
 }
 
@@ -206,7 +259,15 @@ func (p *PageView) PageRows(i int) ([]value.Row, error) {
 	if end > p.t.NumRows() {
 		end = p.t.NumRows()
 	}
-	return p.t.rows[start:end], nil
+	rows := make([]value.Row, 0, end-start)
+	for i := start; i < end; i++ {
+		row, err := p.t.Row(i)
+		if err != nil {
+			return nil, err
+		}
+		rows = append(rows, row)
+	}
+	return rows, nil
 }
 
 // VirtualTable is a generator-backed table that never materializes rows:
