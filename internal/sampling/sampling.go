@@ -65,19 +65,19 @@ type RecordSource interface {
 // gather appends count rows of src to ar, row pick() for each in turn. It
 // is the draw primitive every row draw into an arena runs through (with
 // or without replacement, whole table or one stratum), and the only place
-// that chooses how a drawn row leaves storage:
-// a RecordSource's rows are byte-copied out of its store and keyed in
-// place (value.RecordArena.AppendRec); any other source — a virtual table,
-// an unsnapshotted db table, a SliceSource — materializes each row with
-// Row and encodes it with Append. pick runs once per row on either path,
-// so a given RNG stream draws the same rows and yields the same bytes.
+// that chooses how a drawn row leaves storage: a RecordSource's rows are
+// byte-copied out of its store and keyed in place
+// (value.RecordArena.AppendRec); any other source — a virtual table, an
+// unsnapshotted db table, a SliceSource — materializes each row with Row
+// and encodes it with Append. pick runs once per row on either path, so a
+// given RNG stream draws the same rows and yields the same bytes.
 func gather(src RowSource, ar *value.RecordArena, count int64, pick func() int64) error {
-	n := src.NumRows()
-	if rs, ok := src.(RecordSource); ok {
-		recs, w := rs.Records(), int64(ar.RowWidth())
-		if int64(len(recs)) != n*w {
-			return fmt.Errorf("sampling: record store of %d bytes does not hold %d rows of %d", len(recs), n, w)
-		}
+	n, w := src.NumRows(), int64(ar.RowWidth())
+	recs, ok, err := storeOf(src, w)
+	if err != nil {
+		return err
+	}
+	if ok {
 		for k := int64(0); k < count; k++ {
 			i := pick()
 			if i < 0 || i >= n {
@@ -102,6 +102,20 @@ func gather(src RowSource, ar *value.RecordArena, count int64, pick func() int64
 	return nil
 }
 
+// storeOf returns src's record store when src is a RecordSource, checked
+// to hold NumRows() records of w bytes.
+func storeOf(src RowSource, w int64) ([]byte, bool, error) {
+	rs, ok := src.(RecordSource)
+	if !ok {
+		return nil, false, nil
+	}
+	recs := rs.Records()
+	if n := src.NumRows(); int64(len(recs)) != n*w {
+		return nil, false, fmt.Errorf("sampling: record store of %d bytes does not hold %d rows of %d", len(recs), n, w)
+	}
+	return recs, true, nil
+}
+
 // ScanRecords calls fn(i, rec) for every row i in [lo, hi) of src, in
 // order, with rec row i's fixed-width record under schema: the full-table
 // counterpart of gather, for O(n) readers such as stratum directories and
@@ -113,11 +127,11 @@ func ScanRecords(src RowSource, schema *value.Schema, lo, hi int64, fn func(i in
 	if lo < 0 || hi > n || lo > hi {
 		return fmt.Errorf("sampling: scan range [%d,%d) outside [0,%d)", lo, hi, n)
 	}
-	if rs, ok := src.(RecordSource); ok {
-		recs := rs.Records()
-		if int64(len(recs)) != n*w {
-			return fmt.Errorf("sampling: record store of %d bytes does not hold %d rows of %d", len(recs), n, w)
-		}
+	recs, ok, err := storeOf(src, w)
+	if err != nil {
+		return err
+	}
+	if ok {
 		for i := lo; i < hi; i++ {
 			if err := fn(i, recs[i*w:(i+1)*w:(i+1)*w]); err != nil {
 				return err
