@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: build test race bench bench-diff bench-race perf fmt vet
+.PHONY: build test race bench bench-diff bench-race perf perf-pair fmt vet
 
 build:
 	$(GO) build ./...
@@ -24,6 +24,11 @@ vet:
 # tracking should use the default (or higher) for stable numbers.
 BENCHTIME ?= 1s
 
+# BENCHCOUNT repeats every benchmark; benchjson folds the repeats into one
+# entry (median ns/op, largest allocs/op), so one noisy run cannot move the
+# record or the regression gate.
+BENCHCOUNT = 5
+
 # bench records the perf trajectory of the hot paths — the engine's
 # epoch-keyed cache (must stay O(1) in table size), the maintained-sample
 # fast path, the shared-sample batch, BenchmarkAdaptiveVsFixed's
@@ -35,7 +40,7 @@ BENCHTIME ?= 1s
 # and the fault-injection switchboard (BenchmarkFaultPointDisarmed's
 # zero-cost disarmed contract) — as a machine-readable artifact.
 bench:
-	$(GO) test -bench . -benchmem -benchtime $(BENCHTIME) -run '^$$' ./internal/engine ./internal/core ./internal/obs ./internal/faults . \
+	$(GO) test -bench . -benchmem -benchtime $(BENCHTIME) -count $(BENCHCOUNT) -run '^$$' ./internal/engine ./internal/core ./internal/obs ./internal/faults . \
 		| tee /dev/stderr \
 		| $(GO) run ./cmd/benchjson > BENCH_engine.json
 	@echo "wrote BENCH_engine.json"
@@ -43,13 +48,14 @@ bench:
 # bench-diff runs the same benchmarks and compares them against the
 # committed BENCH_engine.json, exiting nonzero on a >25% ns/op or
 # allocs/op regression — and on ANY allocs/op growth in
-# BenchmarkEstimateSampleSizes, whose zero-alloc steady state is a hard
-# contract of the estimation hot path. CI runs it as a non-blocking report
-# (1x iterations are too noisy to gate on); run locally with the default
-# BENCHTIME before sending a perf-sensitive change.
+# BenchmarkEstimateSampleSizes or BenchmarkEstimate, whose allocation
+# counts are a contract of the estimation hot path (page sizing allocates
+# nothing per page). CI runs it as a non-blocking report (1x iterations are
+# too noisy to gate on); run locally with the default BENCHTIME before
+# sending a perf-sensitive change.
 bench-diff:
-	$(GO) test -bench . -benchmem -benchtime $(BENCHTIME) -run '^$$' ./internal/engine ./internal/core ./internal/obs ./internal/faults . \
-		| $(GO) run ./cmd/benchjson -diff BENCH_engine.json -allocs-exact 'BenchmarkEstimateSampleSizes'
+	$(GO) test -bench . -benchmem -benchtime $(BENCHTIME) -count $(BENCHCOUNT) -run '^$$' ./internal/engine ./internal/core ./internal/obs ./internal/faults . \
+		| $(GO) run ./cmd/benchjson -diff BENCH_engine.json -allocs-exact 'BenchmarkEstimateSampleSizes|BenchmarkEstimate/'
 
 # bench-race drives the estimation hot path — pooled codec scratch,
 # parallel page compression, shared arenas — the telemetry instruments,
@@ -75,3 +81,14 @@ perf:
 	for w in whatif-cold adaptive-hot live-churn; do \
 		bash perfbench/run.sh --workload $$w --seed 1 --seconds 25 --trace 0 || exit 1; \
 	done
+
+# perf-pair compares this checkout with another (PARENT, typically a
+# `git archive` of the parent commit) on one perfbench workload: PAIRS
+# pairs of end-to-end runs, alternating which side goes first, seeds SEED,
+# SEED+1, ... See scripts/perfpair.sh.
+PAIRS ?= 10
+SEED ?= 1
+WORKLOAD ?= whatif-cold
+TRACE ?= 0
+perf-pair:
+	bash scripts/perfpair.sh "$(PARENT)" "$(WORKLOAD)" "$(PAIRS)" "$(SEED)" --seconds 25 --trace $(TRACE)

@@ -106,7 +106,7 @@ func benchTable(b *testing.B) *samplecf.Table {
 // BenchmarkEstimate measures one SampleCF estimation per codec at f = 1%.
 func BenchmarkEstimate(b *testing.B) {
 	tab := benchTable(b)
-	for _, name := range []string{"nullsuppression", "pagedict", "page", "globaldict-p4"} {
+	for _, name := range []string{"nullsuppression", "pagedict", "page", "globaldict-p4", "huffman"} {
 		codec, err := samplecf.LookupCodec(name)
 		if err != nil {
 			b.Fatal(err)

@@ -17,8 +17,15 @@
 //
 // -allocs-exact REGEX tightens the allocation gate for matching benchmarks:
 // any allocs/op growth at all fails, regardless of -threshold. `make
-// bench-diff` applies it to BenchmarkEstimateSampleSizes, whose zero-alloc
-// steady state is a hard contract of the estimation hot path.
+// bench-diff` applies it to BenchmarkEstimateSampleSizes and
+// BenchmarkEstimate, whose allocation counts are a contract of the
+// estimation hot path.
+//
+// Repeated lines of one benchmark (`go test -count N`) fold into one entry:
+// the median ns/op and custom metrics, the largest B/op and allocs/op, and
+// the summed iterations. A median over a few runs damps the single-run
+// noise a shared box adds to ns/op; the maximum keeps the allocation gate
+// from passing on a lucky run.
 package main
 
 import (
@@ -268,8 +275,76 @@ func parse(sc *bufio.Scanner) (*document, error) {
 			doc.Results = append(doc.Results, r)
 		}
 	}
+	doc.Results = fold(doc.Results)
 	markProcs(doc.Results)
 	return doc, sc.Err()
+}
+
+// fold merges the repeated results of each benchmark (same package and
+// name, as `go test -count N` prints them) into one, in first-appearance
+// order: median ns/op and custom metrics, maximum B/op and allocs/op,
+// summed iterations.
+func fold(results []result) []result {
+	type key struct{ pkg, name string }
+	groups := make(map[key][]result)
+	var order []key
+	for _, r := range results {
+		k := key{r.Package, r.Name}
+		if _, seen := groups[k]; !seen {
+			order = append(order, k)
+		}
+		groups[k] = append(groups[k], r)
+	}
+	out := make([]result, 0, len(order))
+	for _, k := range order {
+		runs := groups[k]
+		r := runs[0]
+		if len(runs) > 1 {
+			r.Iterations = 0
+			ns := make([]float64, len(runs))
+			for i, run := range runs {
+				r.Iterations += run.Iterations
+				ns[i] = run.NsPerOp
+				r.BytesPerOp = maxPtr(r.BytesPerOp, run.BytesPerOp)
+				r.AllocsPerOp = maxPtr(r.AllocsPerOp, run.AllocsPerOp)
+			}
+			r.NsPerOp = median(ns)
+			if r.Extra != nil {
+				extra := make(map[string]float64, len(r.Extra))
+				for unit := range r.Extra {
+					vals := make([]float64, 0, len(runs))
+					for _, run := range runs {
+						if v, ok := run.Extra[unit]; ok {
+							vals = append(vals, v)
+						}
+					}
+					extra[unit] = median(vals)
+				}
+				r.Extra = extra
+			}
+		}
+		out = append(out, r)
+	}
+	return out
+}
+
+// median returns the middle value of vals (the mean of the two middle
+// values for an even count). vals is reordered.
+func median(vals []float64) float64 {
+	slices.Sort(vals)
+	n := len(vals)
+	if n%2 == 1 {
+		return vals[n/2]
+	}
+	return (vals[n/2-1] + vals[n/2]) / 2
+}
+
+// maxPtr returns the larger of two optional counts.
+func maxPtr(a, b *int64) *int64 {
+	if a == nil || (b != nil && *b > *a) {
+		return b
+	}
+	return a
 }
 
 // parseBenchLine parses one "BenchmarkX-8  N  V unit  [V unit ...]" line.

@@ -101,6 +101,34 @@ func TestParseBenchLine(t *testing.T) {
 	}
 }
 
+// TestParseFoldsRepeatedRuns: the lines `go test -count 3` prints for one
+// benchmark fold into one entry — median ns/op and custom metrics, the
+// largest B/op and allocs/op, summed iterations — and a benchmark run once
+// beside them is left alone.
+func TestParseFoldsRepeatedRuns(t *testing.T) {
+	doc, err := parse(bufio.NewScanner(strings.NewReader(
+		"pkg: samplecf\n" +
+			"BenchmarkEstimate/page  100  300 ns/op  64 B/op  16 allocs/op  2.0 rows/est\n" +
+			"BenchmarkOnce  10  5 ns/op\n" +
+			"BenchmarkEstimate/page  120  100 ns/op  80 B/op  17 allocs/op  4.0 rows/est\n" +
+			"BenchmarkEstimate/page  110  200 ns/op  64 B/op  16 allocs/op  9.0 rows/est\n")))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(doc.Results) != 2 {
+		t.Fatalf("parsed %d results, want 2: %+v", len(doc.Results), doc.Results)
+	}
+	r := doc.Results[0]
+	if r.Name != "BenchmarkEstimate/page" || r.Iterations != 330 || r.NsPerOp != 200 ||
+		*r.BytesPerOp != 80 || *r.AllocsPerOp != 17 || r.Extra["rows/est"] != 4 {
+		t.Errorf("folded %+v (B/op %d, allocs/op %d), want 330 iterations, 200 ns/op, 80 B/op, 17 allocs/op, 4 rows/est",
+			r, *r.BytesPerOp, *r.AllocsPerOp)
+	}
+	if once := doc.Results[1]; once.Name != "BenchmarkOnce" || once.Iterations != 10 || once.NsPerOp != 5 {
+		t.Errorf("single run changed: %+v", once)
+	}
+}
+
 // TestParseProcs covers the parallelism annotations: the per-result procs
 // parsed from go test's "-N" name suffix (1 when a -cpu 1 run omits it)
 // and the document-level GOMAXPROCS of the recording machine.

@@ -6,15 +6,20 @@
 //
 //   - PageCodec: stateless per-page compression (null suppression, page-
 //     level dictionary with the dictionary in-lined in every page, common-
-//     prefix, run-length, and a pick-best composite). These mirror how
-//     commercial engines compress index leaf pages.
+//     prefix, run-length, frame-of-reference, Huffman, and a pick-best
+//     composite). These mirror how commercial engines compress index leaf
+//     pages.
 //   - Codec/Session: whole-index compression with cross-page state. The
 //     global-dictionary codec (the paper's simplified analytical model in
 //     §III-B) lives here, as does the adapter that lifts any PageCodec.
 //
-// All codecs implement real encode AND decode; round-trip tests guarantee
-// the measured sizes describe decodable representations rather than
-// accounting fictions.
+// All codecs implement real encode AND decode. Estimation does not run the
+// encoders: it sizes pages (PageSizer, and GlobalDict's distinct counts),
+// computing in closed form the length the encoder would produce. The
+// encoders stay the reference: core.TrueCF measures through EncodeArena,
+// DecodePage and the round-trip tests run on encoded pages, so the measured
+// sizes describe decodable representations rather than accounting
+// fictions, and FuzzSizer holds every sizer to its encoder byte for byte.
 package compress
 
 import (
@@ -53,21 +58,24 @@ type PageAppender interface {
 	AppendPage(schema *value.Schema, records [][]byte, dst []byte) ([]byte, int64, error)
 }
 
+// PageSizer is the size-only twin of PageAppender that the estimation path
+// runs on: SizePage returns the length of the encoding AppendPage would
+// append for records, the dictionary-entry count it would return, and an
+// error exactly when AppendPage would fail — without producing a byte. The
+// built-in sizers compute the size in closed form (the paper's Σ(ℓ+h) for
+// null suppression, n·p + Σ Pg(v)·k for a page dictionary); FuzzSizer
+// holds each to its encoder. Like AppendPage, SizePage must not mutate
+// receiver state.
+type PageSizer interface {
+	SizePage(schema *value.Schema, records [][]byte) (int, int64, error)
+}
+
 // Session accumulates the pages of one index during whole-index compression.
 type Session interface {
 	// AddPage feeds the records of one uncompressed leaf page.
 	AddPage(records [][]byte) error
 	// Finish returns the result. The session is unusable afterwards.
 	Finish() (Result, error)
-}
-
-// EncodedDiscarder is the measurement fast path on sessions: after
-// DiscardEncoded, the session's Result carries sizes only (Encoded stays
-// nil), freeing the session to reuse one scratch buffer for every page
-// instead of retaining each page's encoding. Estimators — which only ever
-// read the size tally — use it; round-trip tests do not.
-type EncodedDiscarder interface {
-	DiscardEncoded()
 }
 
 // Result summarizes one whole-index compression.
@@ -126,16 +134,11 @@ func (p Paged) NewSession(schema *value.Schema) (Session, error) {
 }
 
 type pagedSession struct {
-	pc      PageCodec
-	schema  *value.Schema
-	res     Result
-	done    bool
-	discard bool
-	scratch []byte // pooled page buffer, only used when discard is set
+	pc     PageCodec
+	schema *value.Schema
+	res    Result
+	done   bool
 }
-
-// DiscardEncoded implements EncodedDiscarder.
-func (s *pagedSession) DiscardEncoded() { s.discard = true }
 
 // AddPage implements Session.
 func (s *pagedSession) AddPage(records [][]byte) error {
@@ -143,40 +146,22 @@ func (s *pagedSession) AddPage(records [][]byte) error {
 		return fmt.Errorf("compress: session finished")
 	}
 	var enc []byte
+	var de int64
 	var err error
 	if ap, ok := s.pc.(PageAppender); ok {
-		var de int64
-		if s.discard {
-			// Size-only mode: encode into the session's pooled scratch,
-			// which the next page overwrites.
-			if s.scratch == nil {
-				s.scratch = getPageBuf()
-			}
-			enc, de, err = ap.AppendPage(s.schema, records, s.scratch[:0])
-			s.scratch = enc
-		} else {
-			enc, de, err = ap.AppendPage(s.schema, records, nil)
-		}
-		if err != nil {
-			return err
-		}
-		s.res.DictEntries += de
+		enc, de, err = ap.AppendPage(s.schema, records, nil)
 	} else {
 		enc, err = s.pc.EncodePage(s.schema, records)
-		if err != nil {
-			return err
-		}
-		if de, ok := s.pc.(dictEntryCounter); ok {
-			s.res.DictEntries += de.lastDictEntries()
-		}
 	}
+	if err != nil {
+		return err
+	}
+	s.res.DictEntries += de
 	s.res.Pages++
 	s.res.Rows += int64(len(records))
 	s.res.UncompressedBytes += int64(len(records)) * int64(s.schema.RowWidth())
 	s.res.CompressedBytes += int64(len(enc))
-	if !s.discard {
-		s.res.Encoded = append(s.res.Encoded, enc)
-	}
+	s.res.Encoded = append(s.res.Encoded, enc)
 	return nil
 }
 
@@ -186,17 +171,7 @@ func (s *pagedSession) Finish() (Result, error) {
 		return Result{}, fmt.Errorf("compress: session finished twice")
 	}
 	s.done = true
-	if s.scratch != nil {
-		putPageBuf(s.scratch)
-		s.scratch = nil
-	}
 	return s.res, nil
-}
-
-// dictEntryCounter is implemented by page codecs that maintain dictionaries
-// so the paged session can surface Σ Pg(i).
-type dictEntryCounter interface {
-	lastDictEntries() int64
 }
 
 // --- shared low-level helpers -----------------------------------------------
@@ -311,24 +286,10 @@ func expandInto(t value.Type, suppressed []byte, dst []byte) {
 
 // --- pooled scratch -----------------------------------------------------------
 
-// pageBufPool recycles page-encoding output buffers for size-only
-// measurement, where a page's encoding is dead the moment its length has
-// been tallied. Steady state, the whole estimation hot path encodes every
-// page of every index into a handful of these.
+// pageBufPool recycles page-encoding output buffers for encodedSize, where
+// a page's encoding is dead the moment its length has been read.
 var pageBufPool = sync.Pool{
 	New: func() any { b := make([]byte, 0, 16<<10); return &b },
-}
-
-// getPageBuf fetches an empty pooled buffer.
-func getPageBuf() []byte { return (*(pageBufPool.Get().(*[]byte)))[:0] }
-
-// putPageBuf returns a buffer to the pool.
-func putPageBuf(b []byte) {
-	if cap(b) == 0 {
-		return
-	}
-	b = b[:0]
-	pageBufPool.Put(&b)
 }
 
 // --- registry ----------------------------------------------------------------

@@ -202,8 +202,7 @@ func TestPageDictSizeFormula(t *testing.T) {
 		rows[i] = value.Row{value.StringValue(fmt.Sprintf("val-%d", i%m))}
 	}
 	recs := mkRecords(t, schema, rows)
-	d := &PageDict{}
-	enc, err := d.EncodePage(schema, recs)
+	enc, entries, err := (&PageDict{}).AppendPage(schema, recs, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -212,8 +211,8 @@ func TestPageDictSizeFormula(t *testing.T) {
 	if len(enc) != want {
 		t.Fatalf("dict page size = %d, want %d", len(enc), want)
 	}
-	if d.lastDictEntries() != m {
-		t.Fatalf("lastDictEntries = %d, want %d", d.lastDictEntries(), m)
+	if entries != m {
+		t.Fatalf("AppendPage dictionary entries = %d, want %d", entries, m)
 	}
 }
 

@@ -15,8 +15,6 @@ import (
 type PickBest struct {
 	Members []PageCodec
 	Label   string
-
-	lastEntries int64
 }
 
 // NewPageCompression returns the default composite approximating commercial
@@ -44,12 +42,8 @@ func (p *PickBest) Name() string {
 
 // EncodePage implements PageCodec.
 func (p *PickBest) EncodePage(schema *value.Schema, records [][]byte) ([]byte, error) {
-	out, entries, err := p.AppendPage(schema, records, nil)
-	if err != nil {
-		return nil, err
-	}
-	p.lastEntries = entries
-	return out, nil
+	out, _, err := p.AppendPage(schema, records, nil)
+	return out, err
 }
 
 // pickScratch pools the two candidate buffers a PickBest encode ping-pongs
@@ -85,9 +79,6 @@ func (p *PickBest) AppendPage(schema *value.Schema, records [][]byte, dst []byte
 			enc, de, err = ap.AppendPage(schema, records, scratch)
 		} else {
 			enc, err = m.EncodePage(schema, records)
-			if dc, ok := m.(dictEntryCounter); ok {
-				de = dc.lastDictEntries()
-			}
 		}
 		if err != nil {
 			return dst, 0, fmt.Errorf("compress: member %s: %w", m.Name(), err)
@@ -105,6 +96,50 @@ func (p *PickBest) AppendPage(schema *value.Schema, records [][]byte, dst []byte
 	return append(out, best...), dictEntries, nil
 }
 
+// SizePage implements PageSizer: the tag byte plus the smallest member
+// size, with every member's dictionary entries summed as AppendPage sums
+// them. Members that size from suppressed lengths share one scan of the
+// page; the rest size through their own PageSizer, or encode.
+func (p *PickBest) SizePage(schema *value.Schema, records [][]byte) (int, int64, error) {
+	if len(p.Members) == 0 || len(p.Members) > 255 {
+		return 0, 0, fmt.Errorf("compress: pickbest needs 1..255 members, has %d", len(p.Members))
+	}
+	var sp *suppressedPage
+	defer func() {
+		if sp != nil {
+			putSuppressed(sp)
+		}
+	}()
+	best := -1
+	var dictEntries int64
+	for _, m := range p.Members {
+		var n int
+		var de int64
+		var err error
+		if ss, ok := m.(suppressedSizer); ok {
+			if sp == nil {
+				err = checkRecords(schema, records)
+				if err == nil {
+					sp = scanSuppressed(schema, records)
+				}
+			}
+			if err == nil {
+				n, de, err = ss.sizeSuppressed(schema, records, sp)
+			}
+		} else {
+			n, de, err = pageSize(m, schema, records)
+		}
+		if err != nil {
+			return 0, 0, fmt.Errorf("compress: member %s: %w", m.Name(), err)
+		}
+		dictEntries += de
+		if best < 0 || n < best {
+			best = n
+		}
+	}
+	return 1 + best, dictEntries, nil
+}
+
 // DecodePage implements PageCodec.
 func (p *PickBest) DecodePage(schema *value.Schema, data []byte) ([][]byte, error) {
 	if len(data) < 1 {
@@ -116,12 +151,6 @@ func (p *PickBest) DecodePage(schema *value.Schema, data []byte) ([][]byte, erro
 	}
 	return p.Members[tag].DecodePage(schema, data[1:])
 }
-
-// lastDictEntries implements dictEntryCounter for direct EncodePage use:
-// the conservative sum over every dictionary member's encode of the last
-// page, whether or not one won it (AppendPage reports the same sum
-// functionally).
-func (p *PickBest) lastDictEntries() int64 { return p.lastEntries }
 
 func init() {
 	Register("page", func() Codec { return Paged{PC: NewPageCompression()} })

@@ -35,8 +35,6 @@ type PageDict struct {
 	// byte-granular ("the size of the pointer in bytes"); bit packing shows
 	// what that rounding costs.
 	BitPack bool
-
-	lastEntries int64
 }
 
 // Name implements PageCodec.
@@ -56,12 +54,8 @@ const maxPageRows = 1<<16 - 1
 
 // EncodePage implements PageCodec.
 func (d *PageDict) EncodePage(schema *value.Schema, records [][]byte) ([]byte, error) {
-	out, entries, err := d.AppendPage(schema, records, nil)
-	if err != nil {
-		return nil, err
-	}
-	d.lastEntries = entries
-	return out, nil
+	out, _, err := d.AppendPage(schema, records, nil)
+	return out, err
 }
 
 // dictScratch is the pooled per-page working set of AppendPage: the
@@ -154,6 +148,49 @@ func (d *PageDict) AppendPage(schema *value.Schema, records [][]byte, dst []byte
 		}
 	}
 	return out, dictEntries, nil
+}
+
+// SizePage implements PageSizer: per column a 2-byte entry count, the m
+// distinct values as entries and one pointer per row — the paper's
+// n·p + Σ Pg(v)·k — after the 2-byte row count.
+func (d *PageDict) SizePage(schema *value.Schema, records [][]byte) (int, int64, error) {
+	if err := checkRecords(schema, records); err != nil {
+		return 0, 0, err
+	}
+	return d.sizeSuppressed(schema, records, nil)
+}
+
+// sizeSuppressed implements suppressedSizer; sp may be nil, and is read
+// only when entries are null-suppressed.
+func (d *PageDict) sizeSuppressed(schema *value.Schema, records [][]byte, sp *suppressedPage) (int, int64, error) {
+	if len(records) > maxPageRows {
+		return 0, 0, fmt.Errorf("compress: %d records exceed page framing limit %d", len(records), maxPageRows)
+	}
+	set := distinctSetPool.Get().(*distinctSet)
+	defer distinctSetPool.Put(set)
+	cols := columnOffsets(schema)
+	n := 2
+	var dictEntries int64
+	for c := range cols {
+		lo, hi := cols[c][0], cols[c][1]
+		var m, entryBytes int
+		if d.EntryNS {
+			t := schema.Column(c).Type
+			h := lenHeaderSize(t.FixedWidth())
+			m = set.countPage(records, lo, hi, func(i int) { entryBytes += h + sp.len(t, c, i, records[i][lo:hi]) })
+		} else {
+			m = set.countPage(records, lo, hi, nil)
+			entryBytes = m * (hi - lo)
+		}
+		dictEntries += int64(m)
+		n += 2 + entryBytes
+		if d.BitPack {
+			n += (len(records)*int(bitWidth(m)) + 7) / 8
+		} else {
+			n += len(records) * pointerSize(m)
+		}
+	}
+	return n, dictEntries, nil
 }
 
 // bitWidth returns ⌈log₂ m⌉ clamped to at least 1.
@@ -249,11 +286,6 @@ func (d *PageDict) DecodePage(schema *value.Schema, data []byte) ([][]byte, erro
 	}
 	return records, nil
 }
-
-// lastDictEntries implements dictEntryCounter: the number of dictionary
-// entries the most recent EncodePage stored (summed over columns). The paged
-// session accumulates this into Result.DictEntries = Σ Pg(v).
-func (d *PageDict) lastDictEntries() int64 { return d.lastEntries }
 
 func init() {
 	Register("pagedict", func() Codec { return Paged{PC: &PageDict{}} })

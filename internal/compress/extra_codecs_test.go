@@ -289,20 +289,73 @@ func BenchmarkFOREncode(b *testing.B) {
 
 func TestHuffmanRejectsUltraWideRows(t *testing.T) {
 	// 17 CHAR(4000) columns at full length exceed the 64 KiB row framing.
+	// A row counts its 2-byte column headers: 16 full columns, 17 headers
+	// and a last column of 1501 bytes make exactly 65535 bytes, the limit.
+	// The sizer must draw the line where the encoder does.
 	cols := make([]value.Column, 17)
 	for i := range cols {
 		cols[i] = value.Column{Name: fmt.Sprintf("c%d", i), Type: value.Char(4000)}
 	}
 	schema := value.MustSchema(cols...)
-	row := make(value.Row, 17)
-	for i := range row {
-		row[i] = bytes.Repeat([]byte{'x'}, 4000)
+	for _, tc := range []struct {
+		last int
+		ok   bool
+	}{{1501, true}, {1502, false}, {4000, false}} {
+		row := make(value.Row, 17)
+		for i := range row {
+			row[i] = bytes.Repeat([]byte{'x'}, 4000)
+		}
+		row[16] = row[16][:tc.last]
+		rec, err := value.EncodeRecord(schema, row, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := (Huffman{}).EncodePage(schema, [][]byte{rec}); (err == nil) != tc.ok {
+			t.Errorf("last column %d bytes: EncodePage error %v, want ok=%v", tc.last, err, tc.ok)
+		}
+		if _, _, err := (Huffman{}).SizePage(schema, [][]byte{rec}); (err == nil) != tc.ok {
+			t.Errorf("last column %d bytes: SizePage error %v, want ok=%v", tc.last, err, tc.ok)
+		}
 	}
-	rec, err := value.EncodeRecord(schema, row, nil)
-	if err != nil {
-		t.Fatal(err)
+}
+
+// TestHuffmanBitsMatchesCodeLengths: the two-queue merge total must equal
+// Σ f·len of the code huffmanCodeLengths builds, on random histograms and
+// on Fibonacci ones, whose Huffman trees are as deep as their totals allow
+// — just below the merge-safe bound and past it, where lengths clamp.
+func TestHuffmanBitsMatchesCodeLengths(t *testing.T) {
+	codeBits := func(freq *[256]int64) int64 {
+		lens := huffmanCodeLengths(freq[:])
+		var bits int64
+		for s, f := range freq {
+			bits += f * int64(lens[s])
+		}
+		return bits
 	}
-	if _, err := (Huffman{}).EncodePage(schema, [][]byte{rec}); err == nil {
-		t.Fatal("ultra-wide row accepted by huffman framing")
+	var hists [][256]int64
+	g := rng.New(9)
+	for k := 0; k < 200; k++ {
+		var freq [256]int64
+		for s := range g.Intn(257) {
+			freq[g.Intn(256)] += int64(1 + g.Intn(1+s*s))
+		}
+		hists = append(hists, freq)
+	}
+	// k Fibonacci weights total Fib(k+2)-1 and build a tree of depth k-1:
+	// 32 stay under the merge-safe bound, 33 pass it unclamped, 34 and 40
+	// clamp at maxCodeLen.
+	for _, syms := range []int{32, 33, 34, 40} {
+		var freq [256]int64
+		a, b := int64(1), int64(1)
+		for s := 0; s < syms; s++ {
+			freq[s] = a
+			a, b = b, a+b
+		}
+		hists = append(hists, freq)
+	}
+	for i := range hists {
+		if got, want := huffmanBits(&hists[i]), codeBits(&hists[i]); got != want {
+			t.Errorf("histogram %d: huffmanBits = %d, code lengths give %d", i, got, want)
+		}
 	}
 }

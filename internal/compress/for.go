@@ -69,41 +69,70 @@ func (FrameOfRef) AppendPage(schema *value.Schema, records [][]byte, dst []byte)
 	return out, 0, nil
 }
 
-// encodeFORColumn emits base + width + packed deltas for one int column.
-func encodeFORColumn(out []byte, t value.Type, span [2]int, records [][]byte) []byte {
-	decode := func(rec []byte) int64 {
-		field := rec[span[0]:span[1]]
-		if t.Kind == value.KindInt32 {
-			return int64(value.DecodeInt32(field))
-		}
-		return value.DecodeInt64(field)
+// SizePage implements PageSizer: per column a tag, then either the
+// null-suppressed values or an 8-byte base, a width byte and one
+// width-byte delta per row.
+func (FrameOfRef) SizePage(schema *value.Schema, records [][]byte) (int, int64, error) {
+	if err := checkRecords(schema, records); err != nil {
+		return 0, 0, err
 	}
-	base := int64(0)
-	if len(records) > 0 {
-		base = decode(records[0])
-		for _, rec := range records[1:] {
-			if v := decode(rec); v < base {
-				base = v
-			}
-		}
+	if len(records) > maxPageRows {
+		return 0, 0, ErrCorrupt
 	}
-	// Delta width: bytes needed for the largest unsigned offset.
-	var maxDelta uint64
-	for _, rec := range records {
-		if d := uint64(decode(rec) - base); d > maxDelta {
-			maxDelta = d
+	cols := columnOffsets(schema)
+	n := 2
+	for c := range cols {
+		t := schema.Column(c).Type
+		if t.IsCharacter() {
+			n += 1 + nsColumnSize(t, cols[c], records)
+			continue
 		}
+		_, width := forFrame(t, cols[c], records)
+		n += 1 + 9 + len(records)*width
 	}
-	width := 1
+	return n, 0, nil
+}
+
+// forDecode reads one int column value of a record.
+func forDecode(t value.Type, span [2]int, rec []byte) int64 {
+	field := rec[span[0]:span[1]]
+	if t.Kind == value.KindInt32 {
+		return int64(value.DecodeInt32(field))
+	}
+	return value.DecodeInt64(field)
+}
+
+// forFrame returns an int column's frame over records: the base (the
+// page minimum) and the whole-byte width of the largest offset from it.
+func forFrame(t value.Type, span [2]int, records [][]byte) (base int64, width int) {
+	if len(records) == 0 {
+		return 0, 1
+	}
+	base = forDecode(t, span, records[0])
+	top := base
+	for _, rec := range records[1:] {
+		v := forDecode(t, span, rec)
+		base = min(base, v)
+		top = max(top, v)
+	}
+	// Two's-complement wrap makes top−base the exact unsigned offset.
+	maxDelta := uint64(top - base)
+	width = 1
 	for maxDelta >= 1<<(8*width) && width < 8 {
 		width++
 	}
+	return base, width
+}
+
+// encodeFORColumn emits base + width + packed deltas for one int column.
+func encodeFORColumn(out []byte, t value.Type, span [2]int, records [][]byte) []byte {
+	base, width := forFrame(t, span, records)
 	var b8 [8]byte
 	binary.LittleEndian.PutUint64(b8[:], uint64(base))
 	out = append(out, b8[:]...)
 	out = append(out, byte(width))
 	for _, rec := range records {
-		d := uint64(decode(rec) - base)
+		d := uint64(forDecode(t, span, rec) - base)
 		for i := 0; i < width; i++ {
 			out = append(out, byte(d>>(8*i)))
 		}

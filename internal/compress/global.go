@@ -57,14 +57,7 @@ type globalSession struct {
 	rows    int64
 	pages   int
 	done    bool
-	discard bool
 }
-
-// DiscardEncoded implements EncodedDiscarder: sizes are computed
-// arithmetically at Finish (n·p + Σ m·k per column plus framing, the
-// paper's formula), so neither the entry payloads nor the per-row pointers
-// need to be retained — only the membership maps.
-func (s *globalSession) DiscardEncoded() { s.discard = true }
 
 // AddPage implements Session.
 func (s *globalSession) AddPage(records [][]byte) error {
@@ -81,13 +74,9 @@ func (s *globalSession) AddPage(records [][]byte) error {
 			if !ok {
 				j = len(s.dicts[c])
 				s.dicts[c][string(v)] = j
-				if !s.discard {
-					s.entries[c] = append(s.entries[c], append([]byte(nil), v...))
-				}
+				s.entries[c] = append(s.entries[c], append([]byte(nil), v...))
 			}
-			if !s.discard {
-				s.ptrs[c] = append(s.ptrs[c], uint32(j))
-			}
+			s.ptrs[c] = append(s.ptrs[c], uint32(j))
 		}
 	}
 	s.rows += int64(len(records))
@@ -109,23 +98,6 @@ func (s *globalSession) Finish() (Result, error) {
 		Rows:              s.rows,
 		Pages:             s.pages,
 		UncompressedBytes: s.rows * int64(s.schema.RowWidth()),
-	}
-	if s.discard {
-		// Size-only: the blob above is arithmetic — 4 bytes of row count,
-		// then per column 4 bytes of entry count, m fixed-width entries,
-		// and one p-byte pointer per row.
-		res.CompressedBytes = 4
-		for c := range s.cols {
-			m := len(s.dicts[c])
-			p := s.g.PointerBytes
-			if p == 0 {
-				p = pointerSize(m)
-			}
-			w := s.cols[c][1] - s.cols[c][0]
-			res.CompressedBytes += 4 + int64(m)*int64(w) + s.rows*int64(p)
-			res.DictEntries += int64(m)
-		}
-		return res, nil
 	}
 	var out []byte
 	var b4 [4]byte

@@ -113,6 +113,44 @@ func (Huffman) AppendPage(schema *value.Schema, records [][]byte, dst []byte) ([
 	return out, 0, nil
 }
 
+// SizePage implements PageSizer. The page is its fixed framing — row
+// count, per-row lengths, the 256 code lengths and the stream length —
+// plus the bitstream, whose length follows from the byte histogram of the
+// suppressed stream (length headers included) alone: huffmanBits.
+func (Huffman) SizePage(schema *value.Schema, records [][]byte) (int, int64, error) {
+	if err := checkRecords(schema, records); err != nil {
+		return 0, 0, err
+	}
+	if len(records) > maxPageRows {
+		return 0, 0, ErrCorrupt
+	}
+	cols := columnOffsets(schema)
+	var freq [256]int64
+	for _, rec := range records {
+		rowLen := 0
+		for c := range cols {
+			t := schema.Column(c).Type
+			stored := rec[cols[c][0]:cols[c][1]]
+			sup := suppressedOf(t, stored, suppressedLen(t, stored))
+			// The column's length header, as putLen writes it.
+			h := lenHeaderSize(t.FixedWidth())
+			freq[byte(len(sup))]++
+			if h == 2 {
+				freq[byte(len(sup)>>8)]++
+			}
+			for _, b := range sup {
+				freq[b]++
+			}
+			rowLen += h + len(sup)
+		}
+		if rowLen > 1<<16-1 {
+			return 0, 0, fmt.Errorf("compress: huffman row of %d bytes exceeds framing limit", rowLen)
+		}
+	}
+	bits := huffmanBits(&freq)
+	return 2 + 2*len(records) + 256 + 4 + int((bits+7)/8), 0, nil
+}
+
 // DecodePage implements PageCodec.
 func (Huffman) DecodePage(schema *value.Schema, data []byte) ([][]byte, error) {
 	if len(data) < 2 {

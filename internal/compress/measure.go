@@ -40,22 +40,37 @@ func MeasureTree(t *btree.Tree, keySchema *value.Schema, codec Codec) (Result, e
 }
 
 // MeasureRecords chunks fixed-width records into synthetic pages of
-// rowsPerPage and compresses them with codec. It is the array-backed
-// fast path used by estimators that skip materializing a B+-tree.
+// rowsPerPage and measures them with codec, sequentially. It is the
+// array-backed path the bootstrap resamples through. Page codecs are sized
+// page by page (pageSize: encoded only where they have no PageSizer) and
+// report sizes only; any other codec runs a session, whose Result keeps
+// the encodings.
 func MeasureRecords(keySchema *value.Schema, codec Codec, records [][]byte, rowsPerPage int) (Result, error) {
 	if rowsPerPage <= 0 {
 		return Result{}, fmt.Errorf("compress: rowsPerPage %d must be positive", rowsPerPage)
+	}
+	if p, ok := codec.(Paged); ok && keySchema != nil {
+		var res Result
+		for start := 0; start < len(records); start += rowsPerPage {
+			page := records[start:min(start+rowsPerPage, len(records))]
+			n, de, err := pageSize(p.PC, keySchema, page)
+			if err != nil {
+				return Result{}, err
+			}
+			res.Pages++
+			res.Rows += int64(len(page))
+			res.CompressedBytes += int64(n)
+			res.DictEntries += de
+		}
+		res.UncompressedBytes = res.Rows * int64(keySchema.RowWidth())
+		return res, nil
 	}
 	sess, err := codec.NewSession(keySchema)
 	if err != nil {
 		return Result{}, err
 	}
 	for start := 0; start < len(records); start += rowsPerPage {
-		end := start + rowsPerPage
-		if end > len(records) {
-			end = len(records)
-		}
-		if err := sess.AddPage(records[start:end]); err != nil {
+		if err := sess.AddPage(records[start:min(start+rowsPerPage, len(records))]); err != nil {
 			return Result{}, err
 		}
 	}
@@ -64,7 +79,7 @@ func MeasureRecords(keySchema *value.Schema, codec Codec, records [][]byte, rows
 
 // pageViewPool recycles the [][]byte record views MeasureArena builds per
 // page: rowsPerPage slice headers pointing into the arena, dead once the
-// page is encoded.
+// page is measured.
 var pageViewPool = sync.Pool{
 	New: func() any { v := make([][]byte, 0, 512); return &v },
 }
@@ -78,15 +93,62 @@ func measureWorkers(pages int) int {
 	return workgroup.Limit(pages)
 }
 
-// MeasureArena is the estimation hot path: it compresses the rowsPerPage-
+// pageTally measures one page of a page codec: its encoded length and
+// dictionary entries. pageSize and encodedSize are the two tallies.
+type pageTally func(pc PageCodec, schema *value.Schema, records [][]byte) (int, int64, error)
+
+// pageSize is the estimation tally: the codec's PageSizer where it has
+// one, else an encode.
+func pageSize(pc PageCodec, schema *value.Schema, records [][]byte) (int, int64, error) {
+	if sz, ok := pc.(PageSizer); ok {
+		return sz.SizePage(schema, records)
+	}
+	return encodedSize(pc, schema, records)
+}
+
+// encodedSize is the encoding tally: the page is encoded into pooled
+// scratch, which dies as soon as its length is read.
+func encodedSize(pc PageCodec, schema *value.Schema, records [][]byte) (int, int64, error) {
+	ap, ok := pc.(PageAppender)
+	if !ok {
+		enc, err := pc.EncodePage(schema, records)
+		return len(enc), 0, err
+	}
+	buf := pageBufPool.Get().(*[]byte)
+	enc, de, err := ap.AppendPage(schema, records, (*buf)[:0])
+	// Keep the grown array: it is the one worth pooling.
+	*buf = enc[:0]
+	pageBufPool.Put(buf)
+	return len(enc), de, err
+}
+
+// MeasureArena is the estimation hot path: it measures the rowsPerPage-
 // chunked records of an arena — visited in perm order (nil = arena order) —
-// and returns the size tally only (Result.Encoded stays nil). Per-page
-// output goes to pooled scratch that dies with the page, and for stateless
-// page codecs (Paged + PageAppender) the pages are fanned out across a
-// bounded worker group; page sizes are summed, so the result is
-// deterministic regardless of worker interleaving and byte-identical to the
-// sequential session path.
-func MeasureArena(keySchema *value.Schema, codec Codec, ar *value.RecordArena, perm []int32, rowsPerPage int) (res Result, err error) {
+// and returns the size tally only (Result.Encoded stays nil). Page codecs
+// are sized page by page through their PageSizer (encoded where they have
+// none), and GlobalDict from its per-column distinct counts over the whole
+// arena; any other codec runs a session. Pages of a page codec whose
+// contract forbids receiver state (PageSizer, PageAppender) fan out across
+// a bounded worker group; page sizes are summed, so the result is
+// deterministic regardless of worker interleaving and equal to EncodeArena's.
+func MeasureArena(keySchema *value.Schema, codec Codec, ar *value.RecordArena, perm []int32, rowsPerPage int) (Result, error) {
+	return measureArena(keySchema, codec, ar, perm, rowsPerPage, true)
+}
+
+// EncodeArena is MeasureArena through the real encoders: every page is
+// encoded (into pooled scratch) and GlobalDict runs its session. It is the
+// ground truth's route (core.TrueCF), and so the independent oracle the
+// sizers are checked against.
+func EncodeArena(keySchema *value.Schema, codec Codec, ar *value.RecordArena, perm []int32, rowsPerPage int) (Result, error) {
+	return measureArena(keySchema, codec, ar, perm, rowsPerPage, false)
+}
+
+func measureArena(keySchema *value.Schema, codec Codec, ar *value.RecordArena, perm []int32, rowsPerPage int, size bool) (res Result, err error) {
+	defer func() {
+		if err == nil {
+			recordMeasure(codec, res)
+		}
+	}()
 	// A panicking codec poisons one measurement, not the process: the
 	// estimation path promises per-candidate error isolation, and a codec is
 	// exactly the pluggable component most likely to harbor a data-dependent
@@ -105,38 +167,40 @@ func MeasureArena(keySchema *value.Schema, codec Codec, ar *value.RecordArena, p
 	}
 	n := ar.Len()
 	pages := (n + rowsPerPage - 1) / rowsPerPage
-	if p, ok := codec.(Paged); ok {
-		if ap, ok := p.PC.(PageAppender); ok {
-			var res Result
-			var err error
-			if workers := measureWorkers(pages); workers > 1 {
-				res, err = measureArenaParallel(keySchema, ap, ar, perm, rowsPerPage, pages, workers)
-			} else {
-				res, err = measureArenaSequential(keySchema, ap, ar, perm, rowsPerPage)
+	tally := encodedSize
+	if size {
+		tally = pageSize
+	}
+	switch c := codec.(type) {
+	case Paged:
+		_, sizer := c.PC.(PageSizer)
+		_, appender := c.PC.(PageAppender)
+		if workers := measureWorkers(pages); workers > 1 && (sizer || appender) {
+			return measureArenaParallel(keySchema, c.PC, tally, ar, perm, rowsPerPage, pages, workers)
+		}
+		return measureArenaSequential(keySchema, c.PC, tally, ar, perm, rowsPerPage)
+	case GlobalDict:
+		if size {
+			// The distinct counts are order-free, so perm is not consulted;
+			// the fault point still fires once per page.
+			for p := 0; p < pages; p++ {
+				if err := encodePoint.Check(); err != nil {
+					return Result{}, err
+				}
 			}
-			if err == nil {
-				recordMeasure(codec, res)
-			}
-			return res, err
+			return sizeGlobal(c, keySchema, ar, pages)
 		}
 	}
-	// Generic codec: feed a session page by page, discarding encodings when
-	// the session supports it (cross-page state forces sequential order).
+	// Any other codec: feed a session page by page (cross-page state forces
+	// sequential order) and drop its encodings.
 	sess, err := codec.NewSession(keySchema)
 	if err != nil {
 		return Result{}, err
 	}
-	if d, ok := sess.(EncodedDiscarder); ok {
-		d.DiscardEncoded()
-	}
 	viewPtr := pageViewPool.Get().(*[][]byte)
 	defer pageViewPool.Put(viewPtr)
 	for start := 0; start < n; start += rowsPerPage {
-		end := start + rowsPerPage
-		if end > n {
-			end = n
-		}
-		view := fillPageView((*viewPtr)[:0], ar, perm, start, end)
+		view := fillPageView((*viewPtr)[:0], ar, perm, start, min(start+rowsPerPage, n))
 		*viewPtr = view[:0]
 		if err := encodePoint.Check(); err != nil {
 			return Result{}, err
@@ -147,9 +211,6 @@ func MeasureArena(keySchema *value.Schema, codec Codec, ar *value.RecordArena, p
 	}
 	res, err = sess.Finish()
 	res.Encoded = nil
-	if err == nil {
-		recordMeasure(codec, res)
-	}
 	return res, err
 }
 
@@ -168,41 +229,32 @@ func fillPageView(view [][]byte, ar *value.RecordArena, perm []int32, start, end
 	return view
 }
 
-// measureArenaSequential encodes every page into one pooled scratch buffer.
-func measureArenaSequential(keySchema *value.Schema, ap PageAppender, ar *value.RecordArena, perm []int32, rowsPerPage int) (Result, error) {
+// measureArenaSequential tallies every page in order.
+func measureArenaSequential(keySchema *value.Schema, pc PageCodec, tally pageTally, ar *value.RecordArena, perm []int32, rowsPerPage int) (Result, error) {
 	res := Result{UncompressedBytes: int64(ar.Len()) * int64(keySchema.RowWidth()), Rows: int64(ar.Len())}
 	viewPtr := pageViewPool.Get().(*[][]byte)
 	defer pageViewPool.Put(viewPtr)
-	buf := getPageBuf()
-	// Closure, not value capture: AppendPage may grow the buffer, and the
-	// grown array is the one worth pooling.
-	defer func() { putPageBuf(buf) }()
 	n := ar.Len()
 	for start := 0; start < n; start += rowsPerPage {
-		end := start + rowsPerPage
-		if end > n {
-			end = n
-		}
-		view := fillPageView((*viewPtr)[:0], ar, perm, start, end)
+		view := fillPageView((*viewPtr)[:0], ar, perm, start, min(start+rowsPerPage, n))
 		*viewPtr = view[:0]
 		if err := encodePoint.Check(); err != nil {
 			return Result{}, err
 		}
-		enc, de, err := ap.AppendPage(keySchema, view, buf[:0])
+		size, de, err := tally(pc, keySchema, view)
 		if err != nil {
 			return Result{}, err
 		}
-		buf = enc
 		res.Pages++
-		res.CompressedBytes += int64(len(enc))
+		res.CompressedBytes += int64(size)
 		res.DictEntries += de
 	}
 	return res, nil
 }
 
-// measureArenaParallel fans page encodes across a bounded worker group,
-// each with its own pooled scratch, and sums the per-worker tallies.
-func measureArenaParallel(keySchema *value.Schema, ap PageAppender, ar *value.RecordArena, perm []int32, rowsPerPage, pages, workers int) (Result, error) {
+// measureArenaParallel fans page tallies across a bounded worker group and
+// sums the per-worker totals.
+func measureArenaParallel(keySchema *value.Schema, pc PageCodec, tally pageTally, ar *value.RecordArena, perm []int32, rowsPerPage, pages, workers int) (Result, error) {
 	type partial struct {
 		comp, dict int64
 		err        error
@@ -214,7 +266,6 @@ func measureArenaParallel(keySchema *value.Schema, ap PageAppender, ar *value.Re
 	chunk := (pages + workers - 1) / workers
 	n := ar.Len()
 	for w := 0; w < workers; w++ {
-		w := w
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
@@ -228,27 +279,20 @@ func measureArenaParallel(keySchema *value.Schema, ap PageAppender, ar *value.Re
 			}()
 			viewPtr := pageViewPool.Get().(*[][]byte)
 			defer pageViewPool.Put(viewPtr)
-			buf := getPageBuf()
-			defer func() { putPageBuf(buf) }()
 			for p := w * chunk; p < (w+1)*chunk && p < pages; p++ {
 				start := p * rowsPerPage
-				end := start + rowsPerPage
-				if end > n {
-					end = n
-				}
-				view := fillPageView((*viewPtr)[:0], ar, perm, start, end)
+				view := fillPageView((*viewPtr)[:0], ar, perm, start, min(start+rowsPerPage, n))
 				*viewPtr = view[:0]
 				if err := encodePoint.Check(); err != nil {
 					partials[w].err = err
 					return
 				}
-				enc, de, err := ap.AppendPage(keySchema, view, buf[:0])
+				size, de, err := tally(pc, keySchema, view)
 				if err != nil {
 					partials[w].err = err
 					return
 				}
-				buf = enc
-				partials[w].comp += int64(len(enc))
+				partials[w].comp += int64(size)
 				partials[w].dict += de
 			}
 		}()

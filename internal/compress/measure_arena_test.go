@@ -45,9 +45,43 @@ func permRecords(ar *value.RecordArena, perm []int32) [][]byte {
 	return recs
 }
 
+// encodeSession measures records page by page through a codec session,
+// keeping every encoding: the round-trip route, free of any sizer.
+func encodeSession(t *testing.T, schema *value.Schema, codec Codec, recs [][]byte, rpp int) Result {
+	t.Helper()
+	sess, err := codec.NewSession(schema)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for start := 0; start < len(recs); start += rpp {
+		if err := sess.AddPage(recs[start:min(start+rpp, len(recs))]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	res, err := sess.Finish()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
+}
+
+// sameTally reports a mismatch between two measurements' size tallies.
+func sameTally(t *testing.T, what string, got, want Result) {
+	t.Helper()
+	if got.CompressedBytes != want.CompressedBytes ||
+		got.UncompressedBytes != want.UncompressedBytes ||
+		got.Rows != want.Rows || got.Pages != want.Pages ||
+		got.DictEntries != want.DictEntries {
+		t.Errorf("%s = {comp=%d uncomp=%d rows=%d pages=%d dict=%d}, want {%d %d %d %d %d}", what,
+			got.CompressedBytes, got.UncompressedBytes, got.Rows, got.Pages, got.DictEntries,
+			want.CompressedBytes, want.UncompressedBytes, want.Rows, want.Pages, want.DictEntries)
+	}
+}
+
 // TestMeasureArenaMatchesMeasureRecords: for every registered codec, the
-// arena fast path (pooled scratch, discarded encodings, possible parallel
-// fan-out) must report exactly the sizes the retained session path reports.
+// arena paths — sized (MeasureArena) and encoded (EncodeArena) — and the
+// record path (MeasureRecords) must all report exactly the sizes an
+// encoding session reports.
 func TestMeasureArenaMatchesMeasureRecords(t *testing.T) {
 	schema, ar, perm := measureTestArena(t, 700)
 	recs := permRecords(ar, perm)
@@ -58,24 +92,24 @@ func TestMeasureArenaMatchesMeasureRecords(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			want, err := MeasureRecords(schema, codec, recs, rpp)
+			want := encodeSession(t, schema, codec, recs, rpp)
+			rec, err := MeasureRecords(schema, codec, recs, rpp)
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, err := MeasureArena(schema, codec, ar, perm, rpp)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if got.Encoded != nil {
-				t.Error("MeasureArena retained encodings")
-			}
-			if got.CompressedBytes != want.CompressedBytes ||
-				got.UncompressedBytes != want.UncompressedBytes ||
-				got.Rows != want.Rows || got.Pages != want.Pages ||
-				got.DictEntries != want.DictEntries {
-				t.Errorf("MeasureArena = {comp=%d uncomp=%d rows=%d pages=%d dict=%d}, want {%d %d %d %d %d}",
-					got.CompressedBytes, got.UncompressedBytes, got.Rows, got.Pages, got.DictEntries,
-					want.CompressedBytes, want.UncompressedBytes, want.Rows, want.Pages, want.DictEntries)
+			sameTally(t, "MeasureRecords", rec, want)
+			for _, route := range []struct {
+				name    string
+				measure func(*value.Schema, Codec, *value.RecordArena, []int32, int) (Result, error)
+			}{{"MeasureArena", MeasureArena}, {"EncodeArena", EncodeArena}} {
+				got, err := route.measure(schema, codec, ar, perm, rpp)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got.Encoded != nil {
+					t.Errorf("%s retained encodings", route.name)
+				}
+				sameTally(t, route.name, got, want)
 			}
 		})
 	}
@@ -83,40 +117,40 @@ func TestMeasureArenaMatchesMeasureRecords(t *testing.T) {
 
 // TestMeasureArenaParallelMatchesSequential drives the worker fan-out
 // directly (GOMAXPROCS-independent) and requires byte-identical tallies,
-// including the non-even last chunk and a single-page arena.
+// on the sizing and the encoding route, including the non-even last chunk
+// and a single-page arena.
 func TestMeasureArenaParallelMatchesSequential(t *testing.T) {
 	for _, n := range []int{1, 63, 64, 700, 1337} {
 		schema, ar, perm := measureTestArena(t, n)
 		const rpp = 64
 		pages := (n + rpp - 1) / rpp
-		for _, pcName := range []string{"nullsuppression", "rle", "prefix", "pagedict+ns", "page", "for"} {
+		for _, pcName := range []string{"nullsuppression", "rle", "prefix", "pagedict+ns", "page", "for", "huffman"} {
 			codec, err := Lookup(pcName)
 			if err != nil {
 				t.Fatal(err)
 			}
-			ap, ok := codec.(Paged).PC.(PageAppender)
-			if !ok {
-				t.Fatalf("%s page codec is not a PageAppender", pcName)
-			}
-			seq, err := measureArenaSequential(schema, ap, ar, perm, rpp)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for _, workers := range []int{2, 3, 8} {
-				w := workers
-				if w > pages {
-					w = pages
-				}
-				if w < 1 {
-					w = 1
-				}
-				par, err := measureArenaParallel(schema, ap, ar, perm, rpp, pages, w)
+			pc := codec.(Paged).PC
+			for _, tally := range []pageTally{pageSize, encodedSize} {
+				seq, err := measureArenaSequential(schema, pc, tally, ar, perm, rpp)
 				if err != nil {
 					t.Fatal(err)
 				}
-				if par.CompressedBytes != seq.CompressedBytes || par.UncompressedBytes != seq.UncompressedBytes ||
-					par.Rows != seq.Rows || par.Pages != seq.Pages || par.DictEntries != seq.DictEntries {
-					t.Errorf("n=%d %s workers=%d: parallel %+v != sequential %+v", n, pcName, workers, par, seq)
+				for _, workers := range []int{2, 3, 8} {
+					w := workers
+					if w > pages {
+						w = pages
+					}
+					if w < 1 {
+						w = 1
+					}
+					par, err := measureArenaParallel(schema, pc, tally, ar, perm, rpp, pages, w)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if par.CompressedBytes != seq.CompressedBytes || par.UncompressedBytes != seq.UncompressedBytes ||
+						par.Rows != seq.Rows || par.Pages != seq.Pages || par.DictEntries != seq.DictEntries {
+						t.Errorf("n=%d %s workers=%d: parallel %+v != sequential %+v", n, pcName, workers, par, seq)
+					}
 				}
 			}
 		}
@@ -138,53 +172,5 @@ func TestMeasureArenaErrors(t *testing.T) {
 	}
 	if _, err := MeasureArena(schema, codec, ar, nil, 4); err != nil {
 		t.Errorf("nil permutation rejected: %v", err)
-	}
-}
-
-// TestSessionDiscardEncoded: a discarding session reports the same sizes as
-// a retaining one, with no Encoded payloads.
-func TestSessionDiscardEncoded(t *testing.T) {
-	schema, ar, perm := measureTestArena(t, 200)
-	recs := permRecords(ar, perm)
-	for _, name := range []string{"pagedict+ns", "globaldict", "globaldict-p4"} {
-		codec, err := Lookup(name)
-		if err != nil {
-			t.Fatal(err)
-		}
-		keep, err := MeasureRecords(schema, codec, recs, 64)
-		if err != nil {
-			t.Fatal(err)
-		}
-		sess, err := codec.NewSession(schema)
-		if err != nil {
-			t.Fatal(err)
-		}
-		d, ok := sess.(EncodedDiscarder)
-		if !ok {
-			t.Fatalf("%s session is not an EncodedDiscarder", name)
-		}
-		d.DiscardEncoded()
-		for start := 0; start < len(recs); start += 64 {
-			end := start + 64
-			if end > len(recs) {
-				end = len(recs)
-			}
-			if err := sess.AddPage(recs[start:end]); err != nil {
-				t.Fatal(err)
-			}
-		}
-		got, err := sess.Finish()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got.Encoded != nil {
-			t.Errorf("%s: discarding session retained encodings", name)
-		}
-		if got.CompressedBytes != keep.CompressedBytes || got.DictEntries != keep.DictEntries ||
-			got.Rows != keep.Rows || got.Pages != keep.Pages {
-			t.Errorf("%s: discard sizes {%d %d %d %d} != retain {%d %d %d %d}", name,
-				got.CompressedBytes, got.DictEntries, got.Rows, got.Pages,
-				keep.CompressedBytes, keep.DictEntries, keep.Rows, keep.Pages)
-		}
 	}
 }

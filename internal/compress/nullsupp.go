@@ -43,6 +43,38 @@ func (NullSuppression) AppendPage(schema *value.Schema, records [][]byte, dst []
 	return out, 0, nil
 }
 
+// SizePage implements PageSizer: Σ (ℓ + h) over the page's values.
+func (NullSuppression) SizePage(schema *value.Schema, records [][]byte) (int, int64, error) {
+	if err := checkRecords(schema, records); err != nil {
+		return 0, 0, err
+	}
+	cols := columnOffsets(schema)
+	n := 0
+	for c := range cols {
+		n += nsColumnSize(schema.Column(c).Type, cols[c], records)
+	}
+	return n, 0, nil
+}
+
+// sizeSuppressed implements suppressedSizer.
+func (NullSuppression) sizeSuppressed(_ *value.Schema, _ [][]byte, sp *suppressedPage) (int, int64, error) {
+	n := 0
+	for _, b := range sp.nsBytes {
+		n += b
+	}
+	return n, 0, nil
+}
+
+// nsColumnSize returns the null-suppressed size of one column over
+// records: Σ (h + ℓ).
+func nsColumnSize(t value.Type, span [2]int, records [][]byte) int {
+	n := len(records) * lenHeaderSize(t.FixedWidth())
+	for _, rec := range records {
+		n += suppressedLen(t, rec[span[0]:span[1]])
+	}
+	return n
+}
+
 // DecodePage implements PageCodec. The record count is implied by input
 // exhaustion (the page framing above this layer carries no explicit count
 // for NS, mirroring row-compressed pages that are self-delimiting).

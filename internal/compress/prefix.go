@@ -64,6 +64,41 @@ func (Prefix) AppendPage(schema *value.Schema, records [][]byte, dst []byte) ([]
 	return out, 0, nil
 }
 
+// SizePage implements PageSizer.
+func (p Prefix) SizePage(schema *value.Schema, records [][]byte) (int, int64, error) {
+	if err := checkRecords(schema, records); err != nil {
+		return 0, 0, err
+	}
+	return p.sizeSuppressed(schema, records, nil)
+}
+
+// sizeSuppressed implements suppressedSizer; sp may be nil. Per column the
+// page holds the anchor with its header, then per row two headers and the
+// suppressed value less the prefix it shares with the anchor.
+func (Prefix) sizeSuppressed(schema *value.Schema, records [][]byte, sp *suppressedPage) (int, int64, error) {
+	if len(records) > maxPageRows {
+		return 0, 0, ErrCorrupt
+	}
+	cols := columnOffsets(schema)
+	n := 2
+	for c := range cols {
+		t := schema.Column(c).Type
+		h := lenHeaderSize(t.FixedWidth())
+		n += h + 2*h*len(records)
+		if len(records) == 0 {
+			continue
+		}
+		lo, hi := cols[c][0], cols[c][1]
+		anchor := suppressedOf(t, records[0][lo:hi], sp.len(t, c, 0, records[0][lo:hi]))
+		n += len(anchor)
+		for i, rec := range records {
+			v := suppressedOf(t, rec[lo:hi], sp.len(t, c, i, rec[lo:hi]))
+			n += len(v) - commonPrefixLen(anchor, v)
+		}
+	}
+	return n, 0, nil
+}
+
 // DecodePage implements PageCodec.
 func (Prefix) DecodePage(schema *value.Schema, data []byte) ([][]byte, error) {
 	if len(data) < 2 {

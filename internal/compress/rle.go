@@ -78,6 +78,41 @@ func (RLE) AppendPage(schema *value.Schema, records [][]byte, dst []byte) ([]byt
 	return out, 0, nil
 }
 
+// SizePage implements PageSizer.
+func (r RLE) SizePage(schema *value.Schema, records [][]byte) (int, int64, error) {
+	if err := checkRecords(schema, records); err != nil {
+		return 0, 0, err
+	}
+	return r.sizeSuppressed(schema, records, nil)
+}
+
+// sizeSuppressed implements suppressedSizer: per column a 2-byte run count,
+// then per run a 2-byte count, a header and the run value suppressed. sp
+// may be nil.
+func (RLE) sizeSuppressed(schema *value.Schema, records [][]byte, sp *suppressedPage) (int, int64, error) {
+	if len(records) > maxPageRows {
+		return 0, 0, ErrCorrupt
+	}
+	cols := columnOffsets(schema)
+	n := 2
+	for c := range cols {
+		t := schema.Column(c).Type
+		h := lenHeaderSize(t.FixedWidth())
+		lo, hi := cols[c][0], cols[c][1]
+		n += 2
+		run, count := 0, 0
+		for i, rec := range records {
+			if count > 0 && count < maxPageRows && string(records[run][lo:hi]) == string(rec[lo:hi]) {
+				count++
+				continue
+			}
+			run, count = i, 1
+			n += 2 + h + sp.len(t, c, i, rec[lo:hi])
+		}
+	}
+	return n, 0, nil
+}
+
 // DecodePage implements PageCodec.
 func (RLE) DecodePage(schema *value.Schema, data []byte) ([][]byte, error) {
 	if len(data) < 2 {

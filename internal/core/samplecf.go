@@ -611,7 +611,8 @@ const trueCFShardRows = 16384
 // partitioned into contiguous row ranges filled in parallel, the key sort
 // partitions into leading-byte buckets sorted and profiled independently
 // (internal/sortkeys), and page compression fans out per page
-// (compress.MeasureArena). Every partition is order-preserving, so the
+// (compress.EncodeArena, which encodes every page: the ground truth runs
+// the real encoders). Every partition is order-preserving, so the
 // result is byte-identical to the sequential scan→sort→measure.
 func TrueCF(src RowScanner, keyCols []string, codec compress.Codec, pageSize int) (compress.Result, error) {
 	return trueCF(src, keyCols, codec, pageSize, 0)
@@ -662,7 +663,7 @@ func trueCF(src RowScanner, keyCols []string, codec compress.Codec, pageSize, wo
 	} else {
 		sortkeys.SortWorkers(ar.Keys(), ar.RowWidth(), perm, workers)
 	}
-	return compress.MeasureArena(keySchema, codec, ar, perm, compress.RowsPerPage(keySchema, pageSize))
+	return compress.EncodeArena(keySchema, codec, ar, perm, compress.RowsPerPage(keySchema, pageSize))
 }
 
 // scanIntoArena fills ar with the key projection of every row of src, row i
