@@ -21,7 +21,7 @@
 # perfbench process is still running afterwards.
 set -euo pipefail
 
-if [ $# -lt 3 ]; then
+if [ $# -lt 3 ] || [ -z "$1" ]; then
 	sed -n '2,11p' "$0" >&2
 	exit 2
 fi
