@@ -29,6 +29,9 @@ BENCHTIME ?= 1s
 # record or the regression gate.
 BENCHCOUNT = 5
 
+# BENCH_PKGS are the packages `make bench` records and bench-diff compares.
+BENCH_PKGS = ./internal/engine ./internal/core ./internal/obs ./internal/faults .
+
 # bench records the perf trajectory of the hot paths — the engine's
 # epoch-keyed cache (must stay O(1) in table size), the maintained-sample
 # fast path, the shared-sample batch, BenchmarkAdaptiveVsFixed's
@@ -40,25 +43,40 @@ BENCHCOUNT = 5
 # and the fault-injection switchboard (BenchmarkFaultPointDisarmed's
 # zero-cost disarmed contract) — as a machine-readable artifact.
 bench:
-	$(GO) test -bench . -benchmem -benchtime $(BENCHTIME) -count $(BENCHCOUNT) -run '^$$' ./internal/engine ./internal/core ./internal/obs ./internal/faults . \
+	$(GO) test -bench . -benchmem -benchtime $(BENCHTIME) -count $(BENCHCOUNT) -run '^$$' $(BENCH_PKGS) \
 		| tee /dev/stderr \
 		| $(GO) run ./cmd/benchjson > BENCH_engine.json
 	@echo "wrote BENCH_engine.json"
 
-# bench-diff runs the same benchmarks and compares them against the
-# committed BENCH_engine.json, exiting nonzero on a >25% ns/op or
-# allocs/op regression — and on ANY allocs/op growth in
-# BenchmarkEstimateSampleSizes or BenchmarkEstimate, whose allocation
-# counts are a contract of the estimation hot path (page sizing allocates
-# nothing per page). CI runs it as a non-blocking report (1x iterations are
-# too noisy to gate on); run locally with the default BENCHTIME before
-# sending a perf-sensitive change.
+# ALLOCS_EXACT names the benchmarks whose allocation counts are a contract
+# of the estimation hot path (page sizing allocates nothing per page; a
+# what-if batch reuses its sample arena and sorts each key chain once):
+# bench-diff fails on ANY allocs/op growth in them.
+ALLOCS_EXACT = BenchmarkEstimateSampleSizes|BenchmarkEstimate/|BenchmarkWhatIfBatch/engine
+
+# bench-diff runs the same benchmarks and compares them against a
+# baseline, exiting nonzero on a >25% ns/op or allocs/op regression — and
+# on ANY allocs/op growth in the ALLOCS_EXACT benchmarks. Without PARENT
+# the baseline is the committed BENCH_engine.json; CI runs that as a
+# non-blocking report (1x iterations are too noisy to gate on). With
+# PARENT=<checkout> (typically a `git archive` of the parent commit) the
+# baseline is measured beside the change: scripts/benchdiff.sh builds both
+# checkouts' test binaries and alternates -count 1 runs, 5 per side, so
+# drift of the shared box between recording and diffing cannot trip the
+# gate. Run it locally with the default BENCHTIME before sending a
+# perf-sensitive change.
 bench-diff:
-	$(GO) test -bench . -benchmem -benchtime $(BENCHTIME) -count $(BENCHCOUNT) -run '^$$' ./internal/engine ./internal/core ./internal/obs ./internal/faults . \
-		| $(GO) run ./cmd/benchjson -diff BENCH_engine.json -allocs-exact 'BenchmarkEstimateSampleSizes|BenchmarkEstimate/'
+ifdef PARENT
+	bash scripts/benchdiff.sh "$(PARENT)" '$(ALLOCS_EXACT)' $(BENCHTIME) $(BENCH_PKGS)
+else
+	$(GO) test -bench . -benchmem -benchtime $(BENCHTIME) -count $(BENCHCOUNT) -run '^$$' $(BENCH_PKGS) \
+		| $(GO) run ./cmd/benchjson -diff BENCH_engine.json -allocs-exact '$(ALLOCS_EXACT)'
+endif
 
 # bench-race drives the estimation hot path — pooled codec scratch,
-# parallel page compression, shared arenas — the telemetry instruments,
+# parallel page compression, shared arenas, and a what-if batch whose key
+# chain members share their root's sorted permutation and whose sample
+# arenas are pooled across batches — the telemetry instruments,
 # the stratified adaptive loop (per-stratum resumable streams extending
 # concurrently), and the serving-path concurrency machinery (snapshot
 # publication racing estimator reads in ConcurrentMixed, the coalescing
@@ -66,7 +84,7 @@ bench-diff:
 # a data race in pooling, fan-out, stream extension, snapshot swap,
 # singleflight hand-off, or metric updates cannot land silently.
 bench-race:
-	$(GO) test -race -bench EstimateSampleSizes -benchtime 1x -run '^$$' .
+	$(GO) test -race -bench 'EstimateSampleSizes|WhatIfBatch' -benchtime 1x -run '^$$' .
 	$(GO) test -race -bench ObsOverhead -benchtime 1x -run '^$$' ./internal/obs
 	$(GO) test -race -bench AdaptiveStratifiedZipf -benchtime 1x -run '^$$' ./internal/engine
 	$(GO) test -race -bench 'ConcurrentMixed|CoalescedStampede' -benchtime 1x -run '^$$' ./internal/engine

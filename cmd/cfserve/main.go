@@ -35,7 +35,10 @@
 // /tables/{t}, /tables/{t}/rows. See docs/cfserve.md for the full API.
 // Every response carries X-Request-ID and a Server-Timing header; requests
 // slower than -slow-trace dump their span tree as structured trace JSON.
-// The server drains in-flight requests and exits cleanly on SIGINT/SIGTERM.
+// The server drains in-flight requests and exits cleanly on SIGINT/SIGTERM,
+// and takes the same path when it is orphaned: a parent that dies without
+// stopping it (a killed benchmark driver or supervisor) would otherwise
+// leave it serving forever.
 package main
 
 import (
@@ -68,6 +71,7 @@ func main() {
 // once the listener is up) so the shutdown e2e test can run the real
 // main path — signal handling included — inside the test process.
 func run(args []string, ready chan<- net.Addr) error {
+	ppid := os.Getppid()
 	fs := flag.NewFlagSet("cfserve", flag.ContinueOnError)
 	var (
 		addr         = fs.String("addr", ":8080", "listen address")
@@ -138,6 +142,9 @@ func run(args []string, ready chan<- net.Addr) error {
 
 	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGINT, syscall.SIGTERM)
 	defer stop()
+	ctx, orphaned := context.WithCancelCause(ctx)
+	defer orphaned(nil)
+	go watchParent(ctx, ppid, parentPoll, orphaned)
 
 	ln, err := net.Listen("tcp", *addr)
 	if err != nil {
@@ -162,7 +169,11 @@ func run(args []string, ready chan<- net.Addr) error {
 		return err
 	case <-ctx.Done():
 	}
-	log.Printf("signal received; draining for up to %v", *drain)
+	reason := "signal received"
+	if err := context.Cause(ctx); errors.Is(err, errOrphaned) {
+		reason = err.Error()
+	}
+	log.Printf("%s; draining for up to %v", reason, *drain)
 	shutdownCtx, cancel := context.WithTimeout(context.Background(), *drain)
 	defer cancel()
 	if err := httpSrv.Shutdown(shutdownCtx); err != nil {
@@ -170,6 +181,36 @@ func run(args []string, ready chan<- net.Addr) error {
 	}
 	log.Printf("drained cleanly")
 	return <-errCh
+}
+
+// parentPoll is how often watchParent checks the parent pid.
+const parentPoll = 500 * time.Millisecond
+
+// errOrphaned is the cancellation cause watchParent reports.
+var errOrphaned = errors.New("parent process exited")
+
+// watchParent cancels ctx with errOrphaned once the process's parent pid
+// differs from ppid, the pid read at start: the parent died and the
+// process was re-parented. A start-up parent of pid 1 (init, or a
+// container's entrypoint) is not watched, since re-parenting cannot be
+// told from it. The watch ends with ctx.
+func watchParent(ctx context.Context, ppid int, every time.Duration, cancel context.CancelCauseFunc) {
+	if ppid == 1 {
+		return
+	}
+	t := time.NewTicker(every)
+	defer t.Stop()
+	for {
+		select {
+		case <-ctx.Done():
+			return
+		case <-t.C:
+			if os.Getppid() != ppid {
+				cancel(fmt.Errorf("%w (was pid %d)", errOrphaned, ppid))
+				return
+			}
+		}
+	}
 }
 
 // demoSpec is the table -demo preloads: skewed strings plus a narrow int,

@@ -10,6 +10,7 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"sync"
 	"syscall"
@@ -184,6 +185,81 @@ func TestCfserveGracefulShutdown(t *testing.T) {
 		}
 	case <-time.After(15 * time.Second):
 		t.Fatal("cfserve did not exit within 15s of SIGTERM")
+	}
+}
+
+// TestCfserveExitsWhenOrphaned starts cfserve under a shell that exits
+// once the server is up, orphaning it, and requires the server to notice
+// the re-parenting and drain within 15s. The server's stderr is a pipe
+// only it holds after the shell exits, so end of file there is its exit.
+func TestCfserveExitsWhenOrphaned(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds binaries")
+	}
+	cfserve := buildTool(t, "cfserve")
+	logR, logW, err := os.Pipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer logR.Close()
+	// The shell starts the server, prints its pid and waits on stdin, so
+	// the server records the shell as its parent before the shell exits.
+	sh := exec.Command("sh", "-c", `"$0" -addr 127.0.0.1:0 & echo $!; read _ || true`, cfserve)
+	sh.Stderr = logW
+	stdin, err := sh.StdinPipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	stdout, err := sh.StdoutPipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := sh.Start(); err != nil {
+		t.Fatal(err)
+	}
+	logW.Close()
+	exited := make(chan struct{})
+	var pid int
+	t.Cleanup(func() {
+		select {
+		case <-exited:
+		default:
+			if pid > 0 {
+				_ = syscall.Kill(pid, syscall.SIGKILL)
+			}
+		}
+		_ = sh.Process.Kill()
+		_ = sh.Wait()
+	})
+	line, err := bufio.NewReader(stdout).ReadString('\n')
+	if err != nil {
+		t.Fatalf("read server pid: %v", err)
+	}
+	if pid, err = strconv.Atoi(strings.TrimSpace(line)); err != nil {
+		t.Fatalf("server pid %q: %v", line, err)
+	}
+
+	sc := bufio.NewScanner(logR)
+	for sc.Scan() && !strings.Contains(sc.Text(), "listening on ") {
+	}
+	var log strings.Builder
+	go func() {
+		defer close(exited)
+		for sc.Scan() {
+			log.WriteString(sc.Text() + "\n")
+		}
+	}()
+	stdin.Close() // the shell exits, orphaning the server
+	if err := sh.Wait(); err != nil {
+		t.Fatalf("shell: %v", err)
+	}
+	select {
+	case <-exited:
+	case <-time.After(15 * time.Second):
+		t.Fatal("orphaned cfserve still running 15s after its parent exited")
+	}
+	if out := log.String(); !strings.Contains(out, "parent process exited") || !strings.Contains(out, "drained cleanly") {
+		t.Fatalf("orphaned cfserve did not take the drain path; log:\n%s", out)
 	}
 }
 

@@ -70,7 +70,7 @@ func sortedSample(t testing.TB, tab *samplecf.Table, cols []string, r int, seed 
 	for i := range perm {
 		perm[i] = int32(i)
 	}
-	sortkeys.Sort(ar.Keys(), ar.RowWidth(), perm)
+	sortkeys.Sort(ar.Keys(), ar.RowWidth(), ar.RowWidth(), perm)
 	return keySchema, ar, perm
 }
 
@@ -101,11 +101,11 @@ func TestMeasureArenaMatchesEncoders(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					got, err := compress.MeasureArena(keySchema, codec, ar, perm, rpp)
+					got, err := compress.MeasureArena(keySchema, codec, ar.Full(), perm, rpp)
 					if err != nil {
 						t.Fatal(err)
 					}
-					want, err := compress.EncodeArena(keySchema, codec, ar, perm, rpp)
+					want, err := compress.EncodeArena(keySchema, codec, ar.Full(), perm, rpp)
 					if err != nil {
 						t.Fatal(err)
 					}

@@ -460,6 +460,37 @@ func TestRegistry(t *testing.T) {
 	}
 }
 
+// TestCodecNamesAllocateNothing pins Name, which recordMeasure calls on
+// every measurement, to zero allocations for every registered codec and
+// every in-range GlobalDict pointer width.
+func TestCodecNamesAllocateNothing(t *testing.T) {
+	codecs := []Codec{}
+	for _, name := range Names() {
+		c, err := Lookup(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		codecs = append(codecs, c)
+	}
+	for p := 0; p <= 8; p++ {
+		codecs = append(codecs, GlobalDict{PointerBytes: p})
+	}
+	codecs = append(codecs, Paged{PC: &PageDict{EntryNS: true, BitPack: true}})
+	for _, c := range codecs {
+		if allocs := testing.AllocsPerRun(100, func() { _ = c.Name() }); allocs != 0 {
+			t.Errorf("%s: Name allocates %v times per call", c.Name(), allocs)
+		}
+	}
+	for p, want := range map[int]string{0: "globaldict", 4: "globaldict(p=4)", 8: "globaldict(p=8)", 9: "globaldict(p=9)"} {
+		if got := (GlobalDict{PointerBytes: p}).Name(); got != want {
+			t.Errorf("GlobalDict{PointerBytes: %d}.Name() = %q, want %q", p, got, want)
+		}
+	}
+	if got := (&PageDict{EntryNS: true, BitPack: true}).Name(); got != "pagedict+ns+bitpack" {
+		t.Errorf("PageDict{EntryNS, BitPack}.Name() = %q", got)
+	}
+}
+
 // TestPropertyAllCodecsRoundTrip fuzzes random pages through every codec.
 func TestPropertyAllCodecsRoundTrip(t *testing.T) {
 	schema := value.MustSchema(

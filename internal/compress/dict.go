@@ -37,16 +37,18 @@ type PageDict struct {
 	BitPack bool
 }
 
-// Name implements PageCodec.
+// Name implements PageCodec. The names are constants, so Name — called
+// on every measurement (recordMeasure) — allocates nothing.
 func (d *PageDict) Name() string {
-	name := "pagedict"
-	if d.EntryNS {
-		name += "+ns"
+	switch {
+	case d.EntryNS && d.BitPack:
+		return "pagedict+ns+bitpack"
+	case d.EntryNS:
+		return "pagedict+ns"
+	case d.BitPack:
+		return "pagedict+bitpack"
 	}
-	if d.BitPack {
-		name += "+bitpack"
-	}
-	return name
+	return "pagedict"
 }
 
 // maxPageRows bounds rows per encoded page (uint16 framing).

@@ -20,12 +20,22 @@ type GlobalDict struct {
 	PointerBytes int
 }
 
+// globalDictNames are GlobalDict's names by PointerBytes, constants so
+// that Name — called on every measurement (recordMeasure) — allocates
+// nothing.
+var globalDictNames = [...]string{"globaldict", "globaldict(p=1)", "globaldict(p=2)", "globaldict(p=3)",
+	"globaldict(p=4)", "globaldict(p=5)", "globaldict(p=6)", "globaldict(p=7)", "globaldict(p=8)"}
+
 // Name implements Codec.
 func (g GlobalDict) Name() string {
-	if g.PointerBytes > 0 {
-		return fmt.Sprintf("globaldict(p=%d)", g.PointerBytes)
+	switch {
+	case g.PointerBytes <= 0:
+		return globalDictNames[0]
+	case g.PointerBytes < len(globalDictNames):
+		return globalDictNames[g.PointerBytes]
 	}
-	return "globaldict"
+	// Out of range: every measurement rejects it, so no hot path names it.
+	return fmt.Sprintf("globaldict(p=%d)", g.PointerBytes)
 }
 
 // NewSession implements Codec.

@@ -123,7 +123,10 @@ func encodedSize(pc PageCodec, schema *value.Schema, records [][]byte) (int, int
 }
 
 // MeasureArena is the estimation hot path: it measures the rowsPerPage-
-// chunked records of an arena — visited in perm order (nil = arena order) —
+// chunked records of an arena window — visited in perm order (nil = arena
+// order), each row's record the window's bytes, read in place at the
+// arena's stride (a window over a run of a sample's columns is the index
+// on those columns, with no projected copy) —
 // and returns the size tally only (Result.Encoded stays nil). Page codecs
 // are sized page by page through their PageSizer (encoded where they have
 // none), and GlobalDict from its per-column distinct counts over the whole
@@ -131,19 +134,19 @@ func encodedSize(pc PageCodec, schema *value.Schema, records [][]byte) (int, int
 // contract forbids receiver state (PageSizer, PageAppender) fan out across
 // a bounded worker group; page sizes are summed, so the result is
 // deterministic regardless of worker interleaving and equal to EncodeArena's.
-func MeasureArena(keySchema *value.Schema, codec Codec, ar *value.RecordArena, perm []int32, rowsPerPage int) (Result, error) {
-	return measureArena(keySchema, codec, ar, perm, rowsPerPage, true)
+func MeasureArena(keySchema *value.Schema, codec Codec, win value.Window, perm []int32, rowsPerPage int) (Result, error) {
+	return measureArena(keySchema, codec, win, perm, rowsPerPage, true)
 }
 
 // EncodeArena is MeasureArena through the real encoders: every page is
 // encoded (into pooled scratch) and GlobalDict runs its session. It is the
 // ground truth's route (core.TrueCF), and so the independent oracle the
 // sizers are checked against.
-func EncodeArena(keySchema *value.Schema, codec Codec, ar *value.RecordArena, perm []int32, rowsPerPage int) (Result, error) {
-	return measureArena(keySchema, codec, ar, perm, rowsPerPage, false)
+func EncodeArena(keySchema *value.Schema, codec Codec, win value.Window, perm []int32, rowsPerPage int) (Result, error) {
+	return measureArena(keySchema, codec, win, perm, rowsPerPage, false)
 }
 
-func measureArena(keySchema *value.Schema, codec Codec, ar *value.RecordArena, perm []int32, rowsPerPage int, size bool) (res Result, err error) {
+func measureArena(keySchema *value.Schema, codec Codec, win value.Window, perm []int32, rowsPerPage int, size bool) (res Result, err error) {
 	defer func() {
 		if err == nil {
 			recordMeasure(codec, res)
@@ -162,10 +165,13 @@ func measureArena(keySchema *value.Schema, codec Codec, ar *value.RecordArena, p
 	if rowsPerPage <= 0 {
 		return Result{}, fmt.Errorf("compress: rowsPerPage %d must be positive", rowsPerPage)
 	}
-	if perm != nil && len(perm) != ar.Len() {
-		return Result{}, fmt.Errorf("compress: permutation covers %d of %d arena rows", len(perm), ar.Len())
+	if win.Width() != keySchema.RowWidth() {
+		return Result{}, fmt.Errorf("compress: arena rows are %d bytes, schema %s requires %d", win.Width(), keySchema, keySchema.RowWidth())
 	}
-	n := ar.Len()
+	if perm != nil && len(perm) != win.Len() {
+		return Result{}, fmt.Errorf("compress: permutation covers %d of %d arena rows", len(perm), win.Len())
+	}
+	n := win.Len()
 	pages := (n + rowsPerPage - 1) / rowsPerPage
 	tally := encodedSize
 	if size {
@@ -176,9 +182,9 @@ func measureArena(keySchema *value.Schema, codec Codec, ar *value.RecordArena, p
 		_, sizer := c.PC.(PageSizer)
 		_, appender := c.PC.(PageAppender)
 		if workers := measureWorkers(pages); workers > 1 && (sizer || appender) {
-			return measureArenaParallel(keySchema, c.PC, tally, ar, perm, rowsPerPage, pages, workers)
+			return measureArenaParallel(keySchema, c.PC, tally, win, perm, rowsPerPage, pages, workers)
 		}
-		return measureArenaSequential(keySchema, c.PC, tally, ar, perm, rowsPerPage)
+		return measureArenaSequential(keySchema, c.PC, tally, win, perm, rowsPerPage)
 	case GlobalDict:
 		if size {
 			// The distinct counts are order-free, so perm is not consulted;
@@ -188,7 +194,7 @@ func measureArena(keySchema *value.Schema, codec Codec, ar *value.RecordArena, p
 					return Result{}, err
 				}
 			}
-			return sizeGlobal(c, keySchema, ar, pages)
+			return sizeGlobal(c, keySchema, win, pages)
 		}
 	}
 	// Any other codec: feed a session page by page (cross-page state forces
@@ -200,7 +206,7 @@ func measureArena(keySchema *value.Schema, codec Codec, ar *value.RecordArena, p
 	viewPtr := pageViewPool.Get().(*[][]byte)
 	defer pageViewPool.Put(viewPtr)
 	for start := 0; start < n; start += rowsPerPage {
-		view := fillPageView((*viewPtr)[:0], ar, perm, start, min(start+rowsPerPage, n))
+		view := fillPageView((*viewPtr)[:0], win, perm, start, min(start+rowsPerPage, n))
 		*viewPtr = view[:0]
 		if err := encodePoint.Check(); err != nil {
 			return Result{}, err
@@ -216,27 +222,27 @@ func measureArena(keySchema *value.Schema, codec Codec, ar *value.RecordArena, p
 
 // fillPageView appends the records of rows [start, end) — through perm when
 // non-nil — onto view.
-func fillPageView(view [][]byte, ar *value.RecordArena, perm []int32, start, end int) [][]byte {
+func fillPageView(view [][]byte, win value.Window, perm []int32, start, end int) [][]byte {
 	if perm == nil {
 		for i := start; i < end; i++ {
-			view = append(view, ar.Rec(i))
+			view = append(view, win.Rec(i))
 		}
 		return view
 	}
 	for _, pi := range perm[start:end] {
-		view = append(view, ar.Rec(int(pi)))
+		view = append(view, win.Rec(int(pi)))
 	}
 	return view
 }
 
 // measureArenaSequential tallies every page in order.
-func measureArenaSequential(keySchema *value.Schema, pc PageCodec, tally pageTally, ar *value.RecordArena, perm []int32, rowsPerPage int) (Result, error) {
-	res := Result{UncompressedBytes: int64(ar.Len()) * int64(keySchema.RowWidth()), Rows: int64(ar.Len())}
+func measureArenaSequential(keySchema *value.Schema, pc PageCodec, tally pageTally, win value.Window, perm []int32, rowsPerPage int) (Result, error) {
+	res := Result{UncompressedBytes: int64(win.Len()) * int64(keySchema.RowWidth()), Rows: int64(win.Len())}
 	viewPtr := pageViewPool.Get().(*[][]byte)
 	defer pageViewPool.Put(viewPtr)
-	n := ar.Len()
+	n := win.Len()
 	for start := 0; start < n; start += rowsPerPage {
-		view := fillPageView((*viewPtr)[:0], ar, perm, start, min(start+rowsPerPage, n))
+		view := fillPageView((*viewPtr)[:0], win, perm, start, min(start+rowsPerPage, n))
 		*viewPtr = view[:0]
 		if err := encodePoint.Check(); err != nil {
 			return Result{}, err
@@ -254,7 +260,7 @@ func measureArenaSequential(keySchema *value.Schema, pc PageCodec, tally pageTal
 
 // measureArenaParallel fans page tallies across a bounded worker group and
 // sums the per-worker totals.
-func measureArenaParallel(keySchema *value.Schema, pc PageCodec, tally pageTally, ar *value.RecordArena, perm []int32, rowsPerPage, pages, workers int) (Result, error) {
+func measureArenaParallel(keySchema *value.Schema, pc PageCodec, tally pageTally, win value.Window, perm []int32, rowsPerPage, pages, workers int) (Result, error) {
 	type partial struct {
 		comp, dict int64
 		err        error
@@ -264,7 +270,7 @@ func measureArenaParallel(keySchema *value.Schema, pc PageCodec, tally pageTally
 	// Contiguous page ranges per worker: worker w handles pages
 	// [w·chunk, min((w+1)·chunk, pages)).
 	chunk := (pages + workers - 1) / workers
-	n := ar.Len()
+	n := win.Len()
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func() {
@@ -281,7 +287,7 @@ func measureArenaParallel(keySchema *value.Schema, pc PageCodec, tally pageTally
 			defer pageViewPool.Put(viewPtr)
 			for p := w * chunk; p < (w+1)*chunk && p < pages; p++ {
 				start := p * rowsPerPage
-				view := fillPageView((*viewPtr)[:0], ar, perm, start, min(start+rowsPerPage, n))
+				view := fillPageView((*viewPtr)[:0], win, perm, start, min(start+rowsPerPage, n))
 				*viewPtr = view[:0]
 				if err := encodePoint.Check(); err != nil {
 					partials[w].err = err

@@ -100,9 +100,9 @@ func TestMeasureArenaMatchesMeasureRecords(t *testing.T) {
 			sameTally(t, "MeasureRecords", rec, want)
 			for _, route := range []struct {
 				name    string
-				measure func(*value.Schema, Codec, *value.RecordArena, []int32, int) (Result, error)
+				measure func(*value.Schema, Codec, value.Window, []int32, int) (Result, error)
 			}{{"MeasureArena", MeasureArena}, {"EncodeArena", EncodeArena}} {
-				got, err := route.measure(schema, codec, ar, perm, rpp)
+				got, err := route.measure(schema, codec, ar.Full(), perm, rpp)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -131,7 +131,7 @@ func TestMeasureArenaParallelMatchesSequential(t *testing.T) {
 			}
 			pc := codec.(Paged).PC
 			for _, tally := range []pageTally{pageSize, encodedSize} {
-				seq, err := measureArenaSequential(schema, pc, tally, ar, perm, rpp)
+				seq, err := measureArenaSequential(schema, pc, tally, ar.Full(), perm, rpp)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -143,7 +143,7 @@ func TestMeasureArenaParallelMatchesSequential(t *testing.T) {
 					if w < 1 {
 						w = 1
 					}
-					par, err := measureArenaParallel(schema, pc, tally, ar, perm, rpp, pages, w)
+					par, err := measureArenaParallel(schema, pc, tally, ar.Full(), perm, rpp, pages, w)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -164,13 +164,13 @@ func TestMeasureArenaErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := MeasureArena(schema, codec, ar, perm, 0); err == nil {
+	if _, err := MeasureArena(schema, codec, ar.Full(), perm, 0); err == nil {
 		t.Error("rowsPerPage 0 accepted")
 	}
-	if _, err := MeasureArena(schema, codec, ar, perm[:5], 4); err == nil {
+	if _, err := MeasureArena(schema, codec, ar.Full(), perm[:5], 4); err == nil {
 		t.Error("short permutation accepted")
 	}
-	if _, err := MeasureArena(schema, codec, ar, nil, 4); err != nil {
+	if _, err := MeasureArena(schema, codec, ar.Full(), nil, 4); err != nil {
 		t.Errorf("nil permutation rejected: %v", err)
 	}
 }

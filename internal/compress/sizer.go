@@ -164,10 +164,10 @@ func (s *distinctSet) countPage(records [][]byte, lo, hi int, onNew func(i int))
 }
 
 // countArena counts the distinct values of column bytes [lo, hi) over
-// every row of ar: countPage over the arena's flat record buffer, so no
-// per-row view is built.
-func (s *distinctSet) countArena(ar *value.RecordArena, lo, hi int) int {
-	n, w, recs := ar.Len(), ar.RowWidth(), ar.Recs()
+// every row of the window win: countPage over the arena's flat record
+// buffer, so no per-row view is built.
+func (s *distinctSet) countArena(win value.Window, lo, hi int) int {
+	n, w, recs := win.Len(), win.Stride(), win.Recs()
 	s.reset(n)
 	m := 0
 	for i := 0; i < n; i++ {
@@ -191,14 +191,11 @@ func (s *distinctSet) countArena(ar *value.RecordArena, lo, hi int) int {
 // 4-byte entry count, d fixed-width entries and one p-byte pointer per row,
 // after the blob's 4-byte row count (the layout globalSession.Finish
 // writes). pages is the page count a session would have been fed.
-func sizeGlobal(g GlobalDict, schema *value.Schema, ar *value.RecordArena, pages int) (Result, error) {
+func sizeGlobal(g GlobalDict, schema *value.Schema, win value.Window, pages int) (Result, error) {
 	if g.PointerBytes < 0 || g.PointerBytes > 8 {
 		return Result{}, fmt.Errorf("compress: pointer size %d out of range", g.PointerBytes)
 	}
-	if ar.RowWidth() != schema.RowWidth() {
-		return Result{}, fmt.Errorf("compress: arena rows are %d bytes, want %d", ar.RowWidth(), schema.RowWidth())
-	}
-	n := int64(ar.Len())
+	n := int64(win.Len())
 	res := Result{
 		Rows:              n,
 		Pages:             pages,
@@ -208,7 +205,7 @@ func sizeGlobal(g GlobalDict, schema *value.Schema, ar *value.RecordArena, pages
 	set := distinctSetPool.Get().(*distinctSet)
 	defer distinctSetPool.Put(set)
 	for _, span := range columnOffsets(schema) {
-		m := set.countArena(ar, span[0], span[1])
+		m := set.countArena(win, span[0], span[1])
 		p := g.PointerBytes
 		if p == 0 {
 			p = pointerSize(m)

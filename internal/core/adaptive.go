@@ -182,7 +182,7 @@ func (p *PreparedIndex) ciHalfWidth(method string, opts Options, z float64, targ
 	// Bootstrap SD over the current sample arena; the resample seed
 	// derives from (Seed, round) so rounds are decorrelated but replays
 	// are deterministic.
-	ci, err := Bootstrap(p.ar, opts.Codec, opts.PageSize, target.BootstrapResamples,
+	ci, err := bootstrapWindow(p.keySchema, p.win, opts.Codec, opts.PageSize, target.BootstrapResamples,
 		0.05, opts.Seed^0xb007^uint64(round)<<32)
 	if err != nil {
 		return 0, fmt.Errorf("core: bootstrap CI: %w", err)
@@ -261,8 +261,7 @@ func SampleCFAdaptive(src sampling.RowSource, schema *value.Schema, opts Options
 	if opts.Method != MethodUniformWR {
 		return AdaptiveResult{}, fmt.Errorf("core: adaptive estimation supports only uniform WR sampling")
 	}
-	keySchema, _, err := keyProjection(schema, opts.KeyColumns)
-	if err != nil {
+	if _, _, err := keyProjection(schema, opts.KeyColumns); err != nil {
 		return AdaptiveResult{}, err
 	}
 	n := src.NumRows()
@@ -298,10 +297,7 @@ func SampleCFAdaptive(src sampling.RowSource, schema *value.Schema, opts Options
 	if err != nil {
 		return AdaptiveResult{}, err
 	}
-	p, err := prepareArena(initial, n, keySchema)
-	if err != nil {
-		return AdaptiveResult{}, err
-	}
+	p := prepareWindow(initial.Full(), n, initial.Schema())
 	p.owned = true
 	return p.AdaptiveEstimate(target, opts, drawRound)
 }

@@ -53,17 +53,26 @@ type BootstrapCI struct {
 // so no per-row heap allocation happens at any B or r.
 func Bootstrap(sample *value.RecordArena, codec compress.Codec,
 	pageSize int, resamples int, alpha float64, seed uint64) (BootstrapCI, error) {
+	if sample == nil {
+		return BootstrapCI{}, fmt.Errorf("core: bootstrap on empty sample")
+	}
+	return bootstrapWindow(sample.Schema(), sample.Full(), codec, pageSize, resamples, alpha, seed)
+}
+
+// bootstrapWindow is Bootstrap over the index records of a window, whose
+// rows are keySchema records (a prepared index's window).
+func bootstrapWindow(keySchema *value.Schema, sample value.Window, codec compress.Codec,
+	pageSize int, resamples int, alpha float64, seed uint64) (BootstrapCI, error) {
 	if resamples < 10 {
 		return BootstrapCI{}, fmt.Errorf("core: bootstrap needs >= 10 resamples, got %d", resamples)
 	}
 	if alpha <= 0 || alpha >= 1 {
 		return BootstrapCI{}, fmt.Errorf("core: bootstrap alpha %v outside (0,1)", alpha)
 	}
-	if sample == nil || sample.Len() == 0 {
+	if sample.Len() == 0 {
 		return BootstrapCI{}, fmt.Errorf("core: bootstrap on empty sample")
 	}
 	r := sample.Len()
-	keySchema := sample.Schema()
 	rpp := compress.RowsPerPage(keySchema, pageSizeOrDefault(pageSize))
 	g := rng.New(seed)
 	cfs := make([]float64, 0, resamples)
@@ -77,7 +86,7 @@ func Bootstrap(sample *value.RecordArena, codec compress.Codec,
 		// Re-sort: the index on the resample is ordered (Fig. 2 step 2).
 		// Keys are bijective with records, so tie order cannot change the
 		// measured byte stream.
-		sortkeys.Sort(sample.Keys(), sample.RowWidth(), perm)
+		sortkeys.Sort(sample.Keys(), sample.Stride(), sample.Width(), perm)
 		for i, pi := range perm {
 			recs[i] = sample.Rec(int(pi))
 		}
@@ -122,8 +131,7 @@ func SampleCFWithSample(src sampling.RowSource, schema *value.Schema, opts Optio
 	if opts.Method != MethodUniformWR {
 		return Estimate{}, nil, fmt.Errorf("core: bootstrap path supports only uniform WR sampling")
 	}
-	keySchema, project, err := keyProjection(schema, opts.KeyColumns)
-	if err != nil {
+	if _, _, err := keyProjection(schema, opts.KeyColumns); err != nil {
 		return Estimate{}, nil, err
 	}
 	n := src.NumRows()
@@ -144,18 +152,11 @@ func SampleCFWithSample(src sampling.RowSource, schema *value.Schema, opts Optio
 	// Project once so the bootstrap resamples only key columns; column
 	// projection of an arena is a byte-range copy whose keys are
 	// byte-identical to re-encoding the projected rows.
-	sample := full
-	if !identityProjection(project, schema.NumColumns()) {
-		sample = value.NewRecordArena(keySchema, int(r))
-		if err := full.ProjectTo(sample, project); err != nil {
-			return Estimate{}, nil, fmt.Errorf("core: project sample arena: %w", err)
-		}
-	}
-	p, err := prepareArena(sample, n, keySchema)
+	sample, err := ProjectSample(full, opts.KeyColumns)
 	if err != nil {
 		return Estimate{}, nil, err
 	}
-	est, err := p.Estimate(opts)
+	est, err := prepareWindow(sample.Full(), n, sample.Schema()).Estimate(opts)
 	if err != nil {
 		return Estimate{}, nil, err
 	}

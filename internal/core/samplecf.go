@@ -251,27 +251,35 @@ func sampleCFInto(draw func(sampling.RowSource, int64, *rng.RNG, *value.RecordAr
 // times is what lets a batch what-if request size every codec of an index
 // from a single sample sort (see internal/engine).
 //
-// The layout is columnar: one value.RecordArena holds every record and key
-// in two contiguous buffers, and `perm` is the key-sort permutation over
-// arena row indices — the sort an index build performs, done with
-// offset-based comparisons instead of pointer-chasing per-row slices. The
-// frequency profile is kept in run-length form ([]distinct.FreqCount) and
-// materialized into a map-backed distinct.Profile only when requested.
+// The layout is columnar: the index records are a value.Window — a byte
+// range of every row of a value.RecordArena, whose record and key buffers
+// are contiguous — and `perm` is the key-sort permutation over its row
+// indices, the sort an index build performs, done with offset-based
+// comparisons instead of pointer-chasing per-row slices. When the key
+// columns are a run of adjacent sample columns in schema order, the window
+// lies over the sample arena itself: the run's bytes are the projected
+// records and keys, so nothing is copied. Any other column set is
+// projected into an arena of its own, and the window is its whole rows.
+// A key chain's shorter member (Prefix) shares a wider index's arena and
+// perm with a narrower window. The frequency profile is kept in run-length
+// form ([]distinct.FreqCount) and materialized into a map-backed
+// distinct.Profile only when requested.
 //
-// A PreparedIndex (including its arena, which it may share with the sample
-// that fed it) is immutable under Estimate and safe for concurrent Estimate
-// calls. ExtendFromArena is the one mutation — the resumable-sample path —
-// and must be serialized against everything else by the caller.
+// A PreparedIndex (including its arena and perm, which it may share with
+// the sample that fed it and with its chain) is immutable under Estimate
+// and safe for concurrent Estimate calls. ExtendFromArena is the one
+// mutation — the resumable-sample path — and must be serialized against
+// everything else by the caller.
 type PreparedIndex struct {
 	keySchema *value.Schema
-	ar        *value.RecordArena   // projected key rows, arena order
-	perm      []int32              // key-sorted permutation over ar
+	win       value.Window         // key rows: a run of sample columns, or a projection's whole rows
+	perm      []int32              // key-sorted permutation over win's rows
 	freqs     []distinct.FreqCount // run-length frequency-of-frequency
 	n         int64                // table size the sample came from
 	prepDur   time.Duration
-	// owned reports the arena belongs to this PreparedIndex alone;
-	// ExtendFromArena may append to an owned arena in place but must
-	// copy-on-extend an arena shared with the sample that fed it.
+	// owned reports the arena belongs to this PreparedIndex alone and is
+	// its whole rows; ExtendFromArena may append to an owned arena in
+	// place but must copy-on-extend an arena it shares.
 	owned bool
 }
 
@@ -286,65 +294,84 @@ func PrepareIndex(rows []value.Row, n int64, schema *value.Schema, keyCols []str
 }
 
 // PrepareFromArena is PrepareIndex for an arena-encoded sample (the
-// engine's batch path and maintained samples): the key columns are
-// projected out of the sample arena by byte-range copies — or the sample
-// arena is used as-is when keyCols covers the whole schema in order — so no
-// intermediate []value.Row ever exists.
+// engine's batch path and maintained samples), with no intermediate
+// []value.Row: when keyCols name adjacent columns in schema order (all
+// columns, when empty) the index is a window over the sample arena, sorted
+// and sized in place; otherwise the key columns are projected out by
+// byte-range copies first.
 func PrepareFromArena(sample *value.RecordArena, n int64, keyCols []string) (*PreparedIndex, error) {
-	schema := sample.Schema()
-	keySchema, project, err := keyProjection(schema, keyCols)
+	keySchema, win, owned, err := keyWindow(sample, keyCols)
 	if err != nil {
 		return nil, err
 	}
-	ar := sample
-	owned := false
-	if !identityProjection(project, schema.NumColumns()) {
-		ar = value.NewRecordArena(keySchema, sample.Len())
-		if err := sample.ProjectTo(ar, project); err != nil {
-			return nil, fmt.Errorf("core: project sample arena: %w", err)
-		}
-		owned = true
-	}
-	p, err := prepareArena(ar, n, keySchema)
-	if err != nil {
-		return nil, err
-	}
+	p := prepareWindow(win, n, keySchema)
 	p.owned = owned
 	return p, nil
 }
 
-// ProjectSample projects a full-schema sample arena onto the index key
-// columns (empty = all columns), returning the sample itself when the
-// projection is the identity. This is the per-round projection step of
-// resumable sampling: extension batches arrive under the table schema and
-// are narrowed to the key schema by byte-range copies.
-func ProjectSample(sample *value.RecordArena, keyCols []string) (*value.RecordArena, error) {
+// KeyRun reports where the index on keyCols (empty = all columns) lies in
+// a row of schema when its key columns are adjacent and in schema order:
+// the byte offset and width of its window, the bytes PrepareFromArena
+// sorts in place. Any other column set, or an unknown column, reports
+// false. Two runs at one offset form a key chain: the narrower key is a
+// prefix of the wider, so one sort serves both (Prefix).
+func KeyRun(schema *value.Schema, keyCols []string) (off, width int, ok bool) {
+	if len(keyCols) == 0 {
+		return 0, schema.RowWidth(), true
+	}
+	// Resolved here rather than by keyProjection, which builds the key
+	// schema: the engine asks once per prep group per batch, and a short
+	// key resolves on the stack.
+	var buf [8]int
+	cols := buf[:0]
+	for _, name := range keyCols {
+		c, found := schema.ColumnIndex(name)
+		if !found {
+			return 0, 0, false
+		}
+		cols = append(cols, c)
+	}
+	return schema.ColumnRun(cols)
+}
+
+// keyWindow resolves keyCols against the sample's schema into the key
+// schema and the window holding the index records: the sample's own bytes
+// for a column run, else a projected arena's whole rows (owned).
+func keyWindow(sample *value.RecordArena, keyCols []string) (*value.Schema, value.Window, bool, error) {
 	schema := sample.Schema()
 	keySchema, project, err := keyProjection(schema, keyCols)
 	if err != nil {
+		return nil, value.Window{}, false, err
+	}
+	if off, w, ok := schema.ColumnRun(project); ok {
+		return keySchema, sample.Window(off, w), false, nil
+	}
+	ar := value.NewRecordArena(keySchema, sample.Len())
+	if err := sample.ProjectTo(ar, project); err != nil {
+		return nil, value.Window{}, false, fmt.Errorf("core: project sample arena: %w", err)
+	}
+	return keySchema, ar.Full(), true, nil
+}
+
+// ProjectSample projects a full-schema sample arena onto the index key
+// columns (empty = all columns), returning the sample itself when the
+// key's window is its whole rows. This is the per-round projection step of
+// resumable sampling: extension batches arrive under the table schema and
+// are narrowed to the key schema by byte-range copies, because extension
+// appends whole rows.
+func ProjectSample(sample *value.RecordArena, keyCols []string) (*value.RecordArena, error) {
+	keySchema, win, owned, err := keyWindow(sample, keyCols)
+	if err != nil {
 		return nil, err
 	}
-	if identityProjection(project, schema.NumColumns()) {
-		return sample, nil
+	if owned || win.Width() == sample.RowWidth() {
+		return win.Arena(), nil
 	}
 	out := value.NewRecordArena(keySchema, sample.Len())
-	if err := sample.ProjectTo(out, project); err != nil {
+	if err := out.AppendWindow(win); err != nil {
 		return nil, fmt.Errorf("core: project sample arena: %w", err)
 	}
 	return out, nil
-}
-
-// identityProjection reports whether project selects every column in order.
-func identityProjection(project []int, nCols int) bool {
-	if len(project) != nCols {
-		return false
-	}
-	for i, p := range project {
-		if p != i {
-			return false
-		}
-	}
-	return true
 }
 
 // prepareProjected is PrepareIndex after column resolution; project == nil
@@ -364,35 +391,60 @@ func prepareProjected(rows []value.Row, n int64, keySchema *value.Schema, projec
 			return nil, fmt.Errorf("core: encode sample row: %w", err)
 		}
 	}
-	p, err := prepareArena(ar, n, keySchema)
-	if err != nil {
-		return nil, err
-	}
+	p := prepareWindow(ar.Full(), n, keySchema)
 	p.owned = true
 	return p, nil
 }
 
-// prepareArena runs the fused sort+profile pass over an encoded arena: one
-// MSD radix sort of the key permutation that emits the run-length frequency
-// profile as a by-product (internal/sortkeys), replacing the former
-// comparison sort plus separate profiling pass.
-func prepareArena(ar *value.RecordArena, n int64, keySchema *value.Schema) (*PreparedIndex, error) {
+// prepareWindow runs the fused sort+profile pass over a window of an
+// encoded arena: one MSD radix sort of the key permutation, addressing keys
+// at the arena's stride, that emits the run-length frequency profile as a
+// by-product (internal/sortkeys).
+func prepareWindow(win value.Window, n int64, keySchema *value.Schema) *PreparedIndex {
 	buildStart := time.Now()
-	perm := make([]int32, ar.Len())
+	perm := make([]int32, win.Len())
 	for i := range perm {
 		perm[i] = int32(i)
 	}
-	freqs := sortkeys.SortProfile(ar.Keys(), ar.RowWidth(), perm)
-
-	p := &PreparedIndex{
+	freqs := sortkeys.SortProfile(win.Keys(), win.Stride(), win.Width(), perm)
+	return &PreparedIndex{
 		keySchema: keySchema,
-		ar:        ar,
+		win:       win,
 		perm:      perm,
 		freqs:     freqs,
 		n:         n,
+		prepDur:   time.Since(buildStart),
 	}
-	p.prepDur = time.Since(buildStart)
-	return p, nil
+}
+
+// Prefix returns the prepared index on keyCols, which must name a leading
+// run of p's key columns (resolved against p's key schema), without a
+// sort: a permutation sorted on a key is sorted on every prefix of it, so
+// the prefix index shares p's arena and perm through a narrower window and
+// only profiles its own runs (one sortkeys.ProfileSorted pass). Rows that
+// tie on the prefix hold identical bytes in the prefix index, so its pages
+// — and every codec's size of them — equal those of an index sorted on the
+// prefix alone. The result shares p's perm: neither may be extended while
+// the other is in use.
+func (p *PreparedIndex) Prefix(keyCols []string) (*PreparedIndex, error) {
+	start := time.Now()
+	keySchema, project, err := keyProjection(p.keySchema, keyCols)
+	if err != nil {
+		return nil, err
+	}
+	off, w, ok := p.keySchema.ColumnRun(project)
+	if !ok || off != 0 {
+		return nil, fmt.Errorf("core: key %v is not a prefix of the prepared key %s", keyCols, p.keySchema)
+	}
+	win := p.win.Arena().Window(p.win.Offset(), w)
+	return &PreparedIndex{
+		keySchema: keySchema,
+		win:       win,
+		perm:      p.perm,
+		freqs:     sortkeys.ProfileSorted(win.Keys(), win.Stride(), w, p.perm),
+		n:         p.n,
+		prepDur:   time.Since(start),
+	}, nil
 }
 
 // ExtendFromArena merges a batch of newly drawn rows (already projected to
@@ -403,24 +455,30 @@ func prepareArena(ar *value.RecordArena, n int64, keySchema *value.Schema) (*Pre
 // profile is rebuilt from the merged permutation in the same pass budget.
 //
 // Extension is a mutation: it must not run concurrently with Estimate on
-// the same PreparedIndex. A PreparedIndex that shares its arena with the
-// sample that fed it (identity projection in PrepareFromArena) copies the
-// arena on first extension, so the caller's sample arena is never touched.
+// the same PreparedIndex. A PreparedIndex whose window lies over a shared
+// arena (the sample that fed it) copies its window into an arena of its
+// own on first extension, so the caller's sample arena is never touched.
 func (p *PreparedIndex) ExtendFromArena(extra *value.RecordArena) error {
 	if extra.Len() == 0 {
 		return nil
 	}
-	if extra.RowWidth() != p.ar.RowWidth() {
+	w := p.win.Width()
+	if extra.RowWidth() != w {
 		return fmt.Errorf("core: extension rows are %d bytes wide, prepared index requires %d",
-			extra.RowWidth(), p.ar.RowWidth())
+			extra.RowWidth(), w)
 	}
 	start := time.Now()
 	if !p.owned {
-		p.ar = p.ar.Clone()
+		own := value.NewRecordArena(p.keySchema, p.win.Len()+extra.Len())
+		if err := own.AppendWindow(p.win); err != nil {
+			return fmt.Errorf("core: copy sample window: %w", err)
+		}
+		p.win = own.Full()
 		p.owned = true
 	}
-	old := p.ar.Len()
-	if err := p.ar.AppendAll(extra); err != nil {
+	ar := p.win.Arena()
+	old := ar.Len()
+	if err := ar.AppendAll(extra); err != nil {
 		return fmt.Errorf("core: extend sample arena: %w", err)
 	}
 	// Sort the new run alone, then merge with the (already sorted) old run.
@@ -428,9 +486,8 @@ func (p *PreparedIndex) ExtendFromArena(extra *value.RecordArena) error {
 	for i := range newPerm {
 		newPerm[i] = int32(old + i)
 	}
-	w := p.ar.RowWidth()
-	keys := p.ar.Keys()
-	sortkeys.Sort(keys, w, newPerm)
+	keys := ar.Keys()
+	sortkeys.Sort(keys, w, w, newPerm)
 	merged := make([]int32, 0, old+extra.Len())
 	i, j := 0, 0
 	for i < len(p.perm) && j < len(newPerm) {
@@ -447,7 +504,7 @@ func (p *PreparedIndex) ExtendFromArena(extra *value.RecordArena) error {
 	merged = append(merged, p.perm[i:]...)
 	merged = append(merged, newPerm[j:]...)
 	p.perm = merged
-	p.freqs = sortkeys.ProfileSorted(keys, w, p.perm)
+	p.freqs = sortkeys.ProfileSorted(keys, w, w, p.perm)
 	p.prepDur += time.Since(start)
 	return nil
 }
@@ -461,7 +518,7 @@ func (p *PreparedIndex) KeySchema() *value.Schema { return p.keySchema }
 func (p *PreparedIndex) PrepDuration() time.Duration { return p.prepDur }
 
 // SampleRows returns the realized sample size r.
-func (p *PreparedIndex) SampleRows() int64 { return int64(p.ar.Len()) }
+func (p *PreparedIndex) SampleRows() int64 { return int64(p.win.Len()) }
 
 // SampleDistinct returns d', the number of distinct keys in the sample.
 func (p *PreparedIndex) SampleDistinct() int64 {
@@ -504,7 +561,7 @@ func (p *PreparedIndex) Estimate(opts Options) (Estimate, error) {
 		treeStart := time.Now()
 		items := make([]btree.Item, len(p.perm))
 		for i, pi := range p.perm {
-			items[i] = btree.Item{Key: p.ar.Key(int(pi)), Payload: p.ar.Rec(int(pi))}
+			items[i] = btree.Item{Key: p.win.Key(int(pi)), Payload: p.win.Rec(int(pi))}
 		}
 		store := heap.NewMemStore(opts.PageSize)
 		tree, err2 := btree.BulkLoadItems(store, items, opts.FillFactor)
@@ -518,7 +575,7 @@ func (p *PreparedIndex) Estimate(opts Options) (Estimate, error) {
 	} else {
 		compressStart := time.Now()
 		rpp := compress.RowsPerPage(p.keySchema, opts.PageSize)
-		res, err = compress.MeasureArena(p.keySchema, opts.Codec, p.ar, p.perm, rpp)
+		res, err = compress.MeasureArena(p.keySchema, opts.Codec, p.win, p.perm, rpp)
 		est.CompressDuration = time.Since(compressStart)
 	}
 	if err != nil {
@@ -658,12 +715,13 @@ func trueCF(src RowScanner, keyCols []string, codec compress.Codec, pageSize, wo
 	for i := range perm {
 		perm[i] = int32(i)
 	}
+	w := ar.RowWidth()
 	if workers <= 0 {
-		sortkeys.Sort(ar.Keys(), ar.RowWidth(), perm)
+		sortkeys.Sort(ar.Keys(), w, w, perm)
 	} else {
-		sortkeys.SortWorkers(ar.Keys(), ar.RowWidth(), perm, workers)
+		sortkeys.SortWorkers(ar.Keys(), w, w, perm, workers)
 	}
-	return compress.EncodeArena(keySchema, codec, ar, perm, compress.RowsPerPage(keySchema, pageSize))
+	return compress.EncodeArena(keySchema, codec, ar.Full(), perm, compress.RowsPerPage(keySchema, pageSize))
 }
 
 // scanIntoArena fills ar with the key projection of every row of src, row i

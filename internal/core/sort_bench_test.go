@@ -91,13 +91,13 @@ func BenchmarkPrepareSort(b *testing.B) {
 					for i := 0; i < b.N; i++ {
 						copy(perm, ident)
 						sort.Sort(&stdSorter{keys: ar.Keys(), w: ar.RowWidth(), perm: perm})
-						benchFreqs = sortkeys.ProfileSorted(ar.Keys(), ar.RowWidth(), perm)
+						benchFreqs = sortkeys.ProfileSorted(ar.Keys(), ar.RowWidth(), ar.RowWidth(), perm)
 					}
 				})
 				b.Run(prefix+"/radix", func(b *testing.B) {
 					for i := 0; i < b.N; i++ {
 						copy(perm, ident)
-						benchFreqs = sortkeys.SortProfile(ar.Keys(), ar.RowWidth(), perm)
+						benchFreqs = sortkeys.SortProfile(ar.Keys(), ar.RowWidth(), ar.RowWidth(), perm)
 					}
 				})
 			}

@@ -324,6 +324,9 @@ type Engine struct {
 
 	closeOnce sync.Once
 
+	// arenas recycles sample arenas across batches (drawSample, WhatIf).
+	arenas sync.Pool
+
 	// metrics is embedded so counter sites read as e.hits.Add(1): every
 	// ledger the engine keeps lives on the obs registry, and Stats() is a
 	// read-back view of the same instruments.
@@ -429,10 +432,11 @@ func (e *Engine) Estimate(ctx context.Context, req Request) Result {
 
 // sampleGroup shares one drawn sample among every batch item with the same
 // (table instance, epoch, sample size, seed). The sample is arena-encoded
-// at draw time (records + memcomparable keys in two contiguous buffers);
-// prep groups project their key columns straight out of it, so no
-// []value.Row intermediate exists on either the fresh or the maintained
-// route.
+// at draw time (records + memcomparable keys in two contiguous buffers)
+// into an arena from the engine's pool, returned when the batch does;
+// prep groups sort windows of it in place (or project their key columns
+// straight out of it), so no []value.Row intermediate exists on either the
+// fresh or the maintained route.
 type sampleGroup struct {
 	once    sync.Once
 	table   Table
@@ -447,12 +451,14 @@ type sampleGroup struct {
 }
 
 // prepGroup shares one encoded, key-sorted index among every batch item
-// with the same sample group and key column set.
+// with the same sample group and key column set. root, when set, is the
+// group's key chain root (linkChains): its sort serves this group too.
 type prepGroup struct {
 	once    sync.Once
 	sg      *sampleGroup
 	keyCols []string
 	members int
+	root    *prepGroup
 
 	prep *core.PreparedIndex
 	err  error
@@ -721,6 +727,8 @@ func (e *Engine) WhatIf(ctx context.Context, reqs []Request) []Result {
 		pending = append(pending, &batchItem{idx: i, req: req, key: key, sg: sg, pg: pg})
 	}
 
+	linkChains(prepGroups)
+
 	var wg sync.WaitGroup
 	for _, it := range pending {
 		it := it
@@ -755,7 +763,50 @@ func (e *Engine) WhatIf(ctx context.Context, reqs []Request) []Result {
 		}
 	}
 	wg.Wait()
+	// Every job of the batch has returned, and nothing it leaves behind
+	// (results, cache entries, coalesced copies) references a sample.
+	for _, sg := range sampleGroups {
+		if sg.ar != nil {
+			e.arenas.Put(sg.ar)
+		}
+	}
 	return results
+}
+
+// linkChains points every prep group at the root of its key chain: the
+// widest group on the same sample whose key window starts at the same
+// byte (core.KeyRun). Each group's key is then a byte prefix of its
+// root's, so the root's one sort serves the whole chain (prepare). Groups
+// whose key columns are not a run of the table's columns are projected
+// and sort alone.
+func linkChains(groups map[pgKey]*prepGroup) {
+	type chain struct {
+		sg  *sampleGroup
+		off int
+	}
+	type member struct {
+		pg    *prepGroup
+		c     chain
+		width int
+	}
+	members := make([]member, 0, len(groups))
+	roots := make(map[chain]member, len(groups))
+	for _, pg := range groups {
+		off, w, ok := core.KeyRun(pg.sg.table.Schema(), pg.keyCols)
+		if !ok {
+			continue
+		}
+		m := member{pg: pg, c: chain{pg.sg, off}, width: w}
+		members = append(members, m)
+		if r, ok := roots[m.c]; !ok || w > r.width {
+			roots[m.c] = m
+		}
+	}
+	for _, m := range members {
+		if r := roots[m.c].pg; r != m.pg {
+			m.pg.root = r
+		}
+	}
 }
 
 // evaluate runs one batch item on a pool worker, coalescing identical
@@ -767,7 +818,10 @@ func (e *Engine) evaluate(ctx context.Context, it *batchItem) Result {
 	if err := ctx.Err(); err != nil {
 		return Result{Err: fmt.Errorf("engine: request %d not started: %w", it.idx, err)}
 	}
-	if key := flightKey(it); key != nil {
+	// A breaker refresh never joins a flight: the one it would find is
+	// usually its own probe's, which answers stale, and a refresh handed
+	// that answer computes nothing and leaves the breaker probing forever.
+	if key := flightKey(it); key != nil && !it.req.bypassBreaker {
 		return e.coalesce(ctx, key, it)
 	}
 	return e.evaluateMiss(ctx, it)
@@ -816,34 +870,12 @@ func (e *Engine) evaluateItem(ctx context.Context, it *batchItem) Result {
 		return e.evaluateScatter(ctx, it)
 	}
 	sg := it.sg
-	sg.once.Do(func() {
-		_, end := obs.StartSpan(ctx, stageDraw)
-		t0 := time.Now()
-		e.drawSample(sg)
-		e.stageDrawHist.Observe(time.Since(t0))
-		end.End()
-	})
+	e.draw(ctx, sg)
 	if sg.err != nil {
 		return Result{Err: fmt.Errorf("engine: request %d: sampling: %w", it.idx, sg.err)}
 	}
 	pg := it.pg
-	pg.once.Do(func() {
-		// The trap must live INSIDE the once closure: sync.Once marks the
-		// closure done even when it panics, so without it a panicking
-		// build would leave batch-mates a "done" group with nil prep and
-		// nil err.
-		defer e.trapShardPanic(&pg.err)
-		_, end := obs.StartSpan(ctx, stageSort)
-		defer end.End()
-		e.prepared.Add(1)
-		pg.prep, pg.err = core.PrepareFromArena(sg.ar, sg.table.NumRows(), pg.keyCols)
-		if pg.err == nil {
-			d := pg.prep.PrepDuration()
-			e.prepareNanos.Add(uint64(d.Nanoseconds()))
-			e.sortRows.Add(uint64(pg.prep.SampleRows()))
-			e.stageSortHist.Observe(d)
-		}
-	})
+	e.prepare(ctx, pg)
 	if pg.err != nil {
 		return Result{Err: fmt.Errorf("engine: request %d: prepare index: %w", it.idx, pg.err)}
 	}
@@ -872,6 +904,54 @@ func (e *Engine) evaluateItem(ctx context.Context, it *batchItem) Result {
 	return Result{Estimate: est, SharedSample: shared}
 }
 
+// draw fills a sample group's arena once per batch (drawSample).
+func (e *Engine) draw(ctx context.Context, sg *sampleGroup) {
+	sg.once.Do(func() {
+		_, end := obs.StartSpan(ctx, stageDraw)
+		t0 := time.Now()
+		e.drawSample(sg)
+		e.stageDrawHist.Observe(time.Since(t0))
+		end.End()
+	})
+}
+
+// prepare builds a prep group's index once per batch, from its sample
+// group's drawn arena. A key chain's root sorts its window of the sample
+// (core.PrepareFromArena); any other member waits for its root and takes a
+// narrower view of the root's sort (core.PreparedIndex.Prefix), which
+// profiles but does not sort, and so is no build in IndexesPrepared.
+func (e *Engine) prepare(ctx context.Context, pg *prepGroup) {
+	pg.once.Do(func() {
+		// The trap must live INSIDE the once closure: sync.Once marks the
+		// closure done even when it panics, so without it a panicking
+		// build would leave batch-mates a "done" group with nil prep and
+		// nil err.
+		defer e.trapShardPanic(&pg.err)
+		if pg.root != nil {
+			if e.prepare(ctx, pg.root); pg.root.err != nil {
+				pg.err = pg.root.err
+				return
+			}
+		}
+		_, end := obs.StartSpan(ctx, stageSort)
+		defer end.End()
+		if pg.root != nil {
+			pg.prep, pg.err = pg.root.prep.Prefix(pg.keyCols)
+		} else {
+			e.prepared.Add(1)
+			pg.prep, pg.err = core.PrepareFromArena(pg.sg.ar, pg.sg.table.NumRows(), pg.keyCols)
+			if pg.err == nil {
+				e.sortRows.Add(uint64(pg.prep.SampleRows()))
+			}
+		}
+		if pg.err == nil {
+			d := pg.prep.PrepDuration()
+			e.prepareNanos.Add(uint64(d.Nanoseconds()))
+			e.stageSortHist.Observe(d)
+		}
+	})
+}
+
 // drawSample fills a sample group's arena, preferring the table's
 // maintained sample when one is offered at the group's epoch: subsampling
 // the in-memory backing sample (without replacement — a uniform subsample
@@ -888,7 +968,12 @@ func (e *Engine) drawSample(sg *sampleGroup) {
 	// group "done" with no arena and no error for every batch-mate, so
 	// the draw traps its own panics into sg.err.
 	defer e.trapShardPanic(&sg.err)
-	ar := value.NewRecordArena(sg.table.Schema(), int(sg.r))
+	ar, _ := e.arenas.Get().(*value.RecordArena)
+	if ar == nil {
+		ar = value.NewRecordArena(sg.table.Schema(), int(sg.r))
+	} else {
+		ar.ResetTo(sg.table.Schema(), int(sg.r))
+	}
 	if sp, ok := sg.table.(catalog.SampleProvider); ok && !sg.fresh {
 		if s, ok := sp.MaintainedSample(sg.r); ok && s.Epoch == sg.epoch {
 			e.maintainedHits.Add(1)

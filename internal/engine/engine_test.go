@@ -3,6 +3,7 @@ package engine
 import (
 	"context"
 	"fmt"
+	"reflect"
 	"sync"
 	"testing"
 	"time"
@@ -131,6 +132,53 @@ func TestSampleSharing(t *testing.T) {
 	}
 	if st.Evaluated != uint64(len(reqs)) {
 		t.Errorf("Evaluated = %d, want %d", st.Evaluated, len(reqs))
+	}
+}
+
+// TestKeyChainSortsOnce checks that a batch sorts each key chain once: {a}
+// is a byte prefix of {a,b} (a and b are adjacent, in schema order), so the
+// {a} index is a view of the {a,b} sort and counts as no build, while {b}
+// starts a chain of its own and {b,a} — not a run of the schema — is
+// projected and sorted alone. Every estimate must still equal the one-shot
+// estimator's, which sorts each column set by itself.
+func TestKeyChainSortsOnce(t *testing.T) {
+	tab := testTable(t, "chains", 3000, 11)
+	for _, tc := range []struct {
+		colsets  [][]string
+		prepared uint64
+	}{
+		{[][]string{{"a"}, {"a", "b"}}, 1},
+		{[][]string{{"a", "b"}, {"a"}, {"b"}, {"b", "a"}}, 3},
+		{[][]string{{"a"}, nil, {"a", "b"}}, 1},
+	} {
+		e := New(Config{Workers: 4, CacheEntries: -1})
+		var reqs []Request
+		for _, cs := range tc.colsets {
+			for _, cn := range []string{"nullsuppression", "pagedict", "rle", "globaldict"} {
+				reqs = append(reqs, Request{Table: tab, KeyColumns: cs, Codec: codec(t, cn), Fraction: 0.1, Seed: 5})
+			}
+		}
+		res := e.WhatIf(context.Background(), reqs)
+		for i, r := range res {
+			if r.Err != nil {
+				t.Fatalf("%v item %d: %v", tc.colsets, i, r.Err)
+			}
+			want, err := core.SampleCF(tab, tab.Schema(), core.Options{
+				Fraction: 0.1, Codec: reqs[i].Codec, KeyColumns: reqs[i].KeyColumns, Seed: 5,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			g := r.Estimate
+			if g.CF != want.CF || !reflect.DeepEqual(g.Result, want.Result) || !reflect.DeepEqual(g.Profile, want.Profile) {
+				t.Errorf("%v item %d (%v/%s): batch %+v (d'=%d), one-shot %+v (d'=%d)", tc.colsets, i,
+					reqs[i].KeyColumns, reqs[i].Codec.Name(), g.Result, g.SampleDistinct, want.Result, want.SampleDistinct)
+			}
+		}
+		if st := e.Stats(); st.IndexesPrepared != tc.prepared {
+			t.Errorf("%v: IndexesPrepared = %d, want %d", tc.colsets, st.IndexesPrepared, tc.prepared)
+		}
+		e.Close()
 	}
 }
 

@@ -369,7 +369,8 @@ func (e *Engine) noteOutcome(it *batchItem, res Result) {
 // the same request, breaker bypassed, on a fresh context. Its outcome
 // flows through noteOutcome like any computation — success closes the
 // breaker and refreshes the stale entry; failure re-arms the cooldown.
-// Concurrent identical refreshes coalesce through the flight group.
+// The refresh bypasses the flight group (evaluate): the probe that spawned
+// it may still lead a flight for the same key, with a stale answer.
 func (e *Engine) spawnRefresh(req Request) {
 	req.bypassBreaker = true
 	e.bg.Add(1)

@@ -372,33 +372,13 @@ func (e *Engine) evaluateShardWork(ctx context.Context, it *batchItem, w *shardW
 		return
 	}
 	sg := w.sg
-	sg.once.Do(func() {
-		_, end := obs.StartSpan(ctx, stageDraw)
-		t0 := time.Now()
-		e.drawSample(sg)
-		e.stageDrawHist.Observe(time.Since(t0))
-		end.End()
-	})
+	e.draw(ctx, sg)
 	if sg.err != nil {
 		w.err = fmt.Errorf("sampling: %w", sg.err)
 		return
 	}
 	pg := w.pg
-	pg.once.Do(func() {
-		// Trap inside the once closure (see evaluateItem): sync.Once
-		// marks a panicking closure done, so the error must latch here.
-		defer e.trapShardPanic(&pg.err)
-		_, end := obs.StartSpan(ctx, stageSort)
-		defer end.End()
-		e.prepared.Add(1)
-		pg.prep, pg.err = core.PrepareFromArena(sg.ar, sg.table.NumRows(), pg.keyCols)
-		if pg.err == nil {
-			d := pg.prep.PrepDuration()
-			e.prepareNanos.Add(uint64(d.Nanoseconds()))
-			e.sortRows.Add(uint64(pg.prep.SampleRows()))
-			e.stageSortHist.Observe(d)
-		}
-	})
+	e.prepare(ctx, pg)
 	if pg.err != nil {
 		w.err = fmt.Errorf("prepare index: %w", pg.err)
 		return

@@ -16,6 +16,8 @@ package sampling
 import (
 	"fmt"
 	"math"
+	"slices"
+	"sync"
 
 	"samplecf/internal/rng"
 	"samplecf/internal/value"
@@ -65,31 +67,33 @@ type RecordSource interface {
 // gather appends count rows of src to ar, row pick() for each in turn. It
 // is the draw primitive every row draw into an arena runs through (with
 // or without replacement, whole table or one stratum), and the only place
-// that chooses how a drawn row leaves storage: a RecordSource's rows are
-// byte-copied out of its store and keyed in place
-// (value.RecordArena.AppendRec); any other source — a virtual table, an
-// unsnapshotted db table, a SliceSource — materializes each row with Row
-// and encodes it with Append. pick runs once per row on either path, so a
-// given RNG stream draws the same rows and yields the same bytes.
+// that chooses how a drawn row leaves storage. It draws every index first,
+// in pick order, into a pooled buffer; then a RecordSource's rows are
+// byte-copied out of its store in one tight loop and keyed in one pass
+// after it (value.RecordArena.AppendGather), and any other source — a
+// virtual table, an unsnapshotted db table, a SliceSource — materializes
+// each row with Row and encodes it with Append. pick runs once per row on
+// either path, in the same order, so a given RNG stream draws the same
+// rows and yields the same bytes.
 func gather(src RowSource, ar *value.RecordArena, count int64, pick func() int64) error {
-	n, w := src.NumRows(), int64(ar.RowWidth())
-	recs, ok, err := storeOf(src, w)
+	recs, ok, err := storeOf(src, int64(ar.RowWidth()))
 	if err != nil {
 		return err
 	}
+	buf := indexPool.Get().(*[]int64)
+	defer indexPool.Put(buf)
+	idx := slices.Grow((*buf)[:0], int(count))[:count]
+	*buf = idx
+	for k := range idx {
+		idx[k] = pick()
+	}
 	if ok {
-		for k := int64(0); k < count; k++ {
-			i := pick()
-			if i < 0 || i >= n {
-				return fmt.Errorf("sampling: row %d out of range [0,%d)", i, n)
-			}
-			if err := ar.AppendRec(recs[i*w : (i+1)*w]); err != nil {
-				return err
-			}
+		if err := ar.AppendGather(recs, idx); err != nil {
+			return fmt.Errorf("sampling: %w", err)
 		}
 	} else {
-		for k := int64(0); k < count; k++ {
-			row, err := src.Row(pick())
+		for _, i := range idx {
+			row, err := src.Row(i)
 			if err != nil {
 				return fmt.Errorf("sampling: row fetch: %w", err)
 			}
@@ -101,6 +105,10 @@ func gather(src RowSource, ar *value.RecordArena, count int64, pick func() int64
 	metricRowsDrawn.Add(uint64(count))
 	return nil
 }
+
+// indexPool recycles gather's drawn-index buffers: one []int64 of the
+// draw's size per call, dead once its rows are copied.
+var indexPool = sync.Pool{New: func() any { return new([]int64) }}
 
 // storeOf returns src's record store when src is a RecordSource, checked
 // to hold NumRows() records of w bytes.

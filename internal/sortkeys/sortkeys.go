@@ -25,6 +25,13 @@
 //     the end. Bucket ranges are disjoint, so workers share the scratch
 //     buffer without synchronization.
 //
+// Keys are addressed by stride: key p is keys[p·stride : p·stride+w]. An
+// index whose key columns are a run of a sample's columns is a window of
+// the sample's key buffer, sorted in place with the sample's row width as
+// stride; no key is copied out first. A permutation sorted on a key is
+// sorted on each of its prefixes, so ProfileSorted profiles a shorter key
+// of the same window off the same permutation — one sort per key chain.
+//
 // Ordering contract: the resulting permutation sorts keys ascending. The
 // order of equal keys is NOT stable and may differ from sort.Sort's — every
 // consumer (page chunking for compression measurement, run-length
@@ -37,6 +44,8 @@ package sortkeys
 
 import (
 	"bytes"
+	"encoding/binary"
+	"math/bits"
 	"slices"
 	"sync"
 
@@ -62,40 +71,46 @@ const (
 	smallRunCap = 512
 )
 
-// Sort permutes perm so that the w-byte keys it indexes ascend: keys holds
-// len(perm) contiguous fixed-width keys and perm[i] names a key by index
-// (key p occupies keys[p·w : (p+1)·w]). Large inputs fan bucket recursion
-// across a bounded worker group.
-func Sort(keys []byte, w int, perm []int32) {
-	SortWorkers(keys, w, perm, workgroup.Limit(len(perm)/parallelCutoff))
+// Sort permutes perm so that the w-byte keys it indexes ascend: perm[i]
+// names a key by row index, and key p occupies
+// keys[p·stride : p·stride+w]. A stride wider than w addresses a window of
+// wider rows in place — an index whose key columns are a run of a sample's
+// columns sorts straight off the sample's key buffer, sliced from the
+// run's first byte. Large inputs fan bucket recursion across a bounded
+// worker group.
+func Sort(keys []byte, stride, w int, perm []int32) {
+	SortWorkers(keys, stride, w, perm, workgroup.Limit(len(perm)/parallelCutoff))
 }
 
 // SortWorkers is Sort with an explicit worker-group width (tests and
 // benchmarks pin it; workers ≤ 1 is strictly sequential).
-func SortWorkers(keys []byte, w int, perm []int32, workers int) {
-	run(keys, w, perm, workers, nil)
+func SortWorkers(keys []byte, stride, w int, perm []int32, workers int) {
+	run(keys, stride, w, perm, workers, nil)
 }
 
 // SortProfile sorts perm like Sort and returns the run-length frequency
 // profile of the sorted key sequence — counts[l] distinct keys occupying
 // exactly l rows — emitted by the sort itself rather than a second pass.
 // The profile is ordered by ascending run length, matching ProfileSorted.
-func SortProfile(keys []byte, w int, perm []int32) []distinct.FreqCount {
-	return SortProfileWorkers(keys, w, perm, workgroup.Limit(len(perm)/parallelCutoff))
+func SortProfile(keys []byte, stride, w int, perm []int32) []distinct.FreqCount {
+	return SortProfileWorkers(keys, stride, w, perm, workgroup.Limit(len(perm)/parallelCutoff))
 }
 
 // SortProfileWorkers is SortProfile with an explicit worker-group width.
-func SortProfileWorkers(keys []byte, w int, perm []int32, workers int) []distinct.FreqCount {
+func SortProfileWorkers(keys []byte, stride, w int, perm []int32, workers int) []distinct.FreqCount {
 	var g hist
-	run(keys, w, perm, workers, &g)
+	run(keys, stride, w, perm, workers, &g)
 	return g.freqs()
 }
 
 // ProfileSorted computes the run-length frequency profile of an
-// already-sorted permutation in one adjacent-compare pass — the profile
-// rebuild used after merging two sorted runs (PreparedIndex extension),
-// where no sort happens but the profile must be recomputed.
-func ProfileSorted(keys []byte, w int, perm []int32) []distinct.FreqCount {
+// already-sorted permutation in one adjacent-compare pass, keys addressed
+// as in Sort. It serves where no sort happens but a profile is needed: the
+// rebuild after merging two sorted runs (PreparedIndex extension), and a
+// key chain's shorter members, whose w-byte keys are a prefix of the key
+// perm was sorted on — a permutation sorted on a key is sorted on every
+// prefix of it.
+func ProfileSorted(keys []byte, stride, w int, perm []int32) []distinct.FreqCount {
 	if len(perm) == 0 {
 		return nil
 	}
@@ -106,8 +121,8 @@ func ProfileSorted(keys []byte, w int, perm []int32) []distinct.FreqCount {
 	}
 	run := int64(1)
 	for i := 1; i < len(perm); i++ {
-		a := int(perm[i-1]) * w
-		b := int(perm[i]) * w
+		a := int(perm[i-1]) * stride
+		b := int(perm[i]) * stride
 		if bytes.Equal(keys[a:a+w], keys[b:b+w]) {
 			run++
 		} else {
@@ -171,12 +186,14 @@ func (h *hist) freqs() []distinct.FreqCount {
 	return out
 }
 
-// sorter carries the shared state of one sort: the key buffer, a scratch
+// sorter carries the shared state of one sort: the key buffer and its
+// addressing (key p at keys[p·stride : p·stride+w]), a scratch
 // permutation buffer (bucket ranges are disjoint, so concurrent tasks use
 // disjoint scratch ranges), the goroutine semaphore, and the global
 // profile histogram (nil when only sorting).
 type sorter struct {
 	keys    []byte
+	stride  int
 	w       int
 	scratch []int32
 	sem     workgroup.Sem
@@ -200,7 +217,7 @@ var scratchPool = sync.Pool{New: func() any { return new([]int32) }}
 
 // run sorts perm and, when g is non-nil, accumulates the run-length
 // profile into it.
-func run(keys []byte, w int, perm []int32, workers int, g *hist) {
+func run(keys []byte, stride, w int, perm []int32, workers int, g *hist) {
 	n := len(perm)
 	if n == 0 {
 		return
@@ -215,6 +232,7 @@ func run(keys []byte, w int, perm []int32, workers int, g *hist) {
 	}
 	s := &sorter{
 		keys:   keys,
+		stride: stride,
 		w:      w,
 		sem:    workgroup.NewSem(workers - 1),
 		global: g,
@@ -291,7 +309,7 @@ func (s *sorter) spawned(perm []int32, lo, hi, depth int) {
 // the key width, a singleton bucket, and the adjacent-equal runs of an
 // insertion-sorted base case — which together tile the final sorted order.
 func (s *sorter) msd(perm []int32, lo, hi, depth int, h *hist) {
-	keys, w := s.keys, s.w
+	keys, stride, w := s.keys, s.stride, s.w
 	for {
 		n := hi - lo
 		switch {
@@ -319,13 +337,15 @@ func (s *sorter) msd(perm []int32, lo, hi, depth int, h *hist) {
 		// 256-way counting pass on the byte column at depth.
 		var count [256]int32
 		for i := lo; i < hi; i++ {
-			count[keys[int(perm[i])*w+depth]]++
+			count[keys[int(perm[i])*stride+depth]]++
 		}
 		// Common-prefix shortcut: one populated bucket means this byte
-		// column distinguishes nothing — advance the column without a
-		// distribution pass.
-		if int(count[keys[int(perm[lo])*w+depth]]) == n {
-			depth++
+		// column distinguishes nothing — skip it, and every later column
+		// the whole bucket agrees on, without a distribution pass. Runs of
+		// equal keys (a padded CHAR value drawn many times) would otherwise
+		// pay one counting pass per remaining byte.
+		if int(count[keys[int(perm[lo])*stride+depth]]) == n {
+			depth += 1 + s.commonPrefix(perm, lo, hi, depth+1)
 			continue
 		}
 		var off [256]int32
@@ -337,7 +357,7 @@ func (s *sorter) msd(perm []int32, lo, hi, depth int, h *hist) {
 		scratch := s.scratch
 		for i := lo; i < hi; i++ {
 			p := perm[i]
-			b := keys[int(p)*w+depth]
+			b := keys[int(p)*stride+depth]
 			scratch[lo+int(off[b])] = p
 			off[b]++
 		}
@@ -367,34 +387,87 @@ func (s *sorter) msd(perm []int32, lo, hi, depth int, h *hist) {
 	}
 }
 
+// commonPrefix returns how many key bytes from depth on every key of
+// perm[lo:hi] shares with the first: one pass, a word at a time.
+func (s *sorter) commonPrefix(perm []int32, lo, hi, depth int) int {
+	keys, stride, w := s.keys, s.stride, s.w
+	first := keys[int(perm[lo])*stride+depth : int(perm[lo])*stride+w]
+	l := len(first)
+	for i := lo + 1; i < hi && l > 0; i++ {
+		k := int(perm[i])*stride + depth
+		l = mismatch(first[:l], keys[k:k+l])
+	}
+	return l
+}
+
+// mismatch returns the index of the first byte at which a and b, of equal
+// length, differ, or their length when they are equal.
+func mismatch(a, b []byte) int {
+	i := 0
+	for ; i+8 <= len(a); i += 8 {
+		if x := binary.LittleEndian.Uint64(a[i:]) ^ binary.LittleEndian.Uint64(b[i:]); x != 0 {
+			return i + bits.TrailingZeros64(x)/8
+		}
+	}
+	for ; i < len(a); i++ {
+		if a[i] != b[i] {
+			return i
+		}
+	}
+	return len(a)
+}
+
 // insertion sorts perm[lo:hi] by the key suffix from depth (the prefix is
-// already equal across the bucket).
+// already equal across the bucket). Each key's next 8 bytes are loaded once
+// as a big-endian word, so most comparisons are one integer compare and
+// touch no key memory; only keys whose words tie compare the rest.
 func (s *sorter) insertion(perm []int32, lo, hi, depth int) {
-	keys, w := s.keys, s.w
-	for i := lo + 1; i < hi; i++ {
-		p := perm[i]
-		kp := keys[int(p)*w+depth : int(p)*w+w]
+	keys, stride, w := s.keys, s.stride, s.w
+	rest := depth + 8 // the suffix past the cached word
+	var words [insertionCutoff]uint64
+	n := hi - lo
+	for i := 0; i < n; i++ {
+		words[i] = s.word(perm[lo+i], depth)
+	}
+	for i := 1; i < n; i++ {
+		p, wp := perm[lo+i], words[i]
 		j := i
-		for j > lo {
-			q := perm[j-1]
-			if bytes.Compare(keys[int(q)*w+depth:int(q)*w+w], kp) <= 0 {
+		for j > 0 {
+			q, wq := perm[lo+j-1], words[j-1]
+			if wq < wp || wq == wp && (rest >= w ||
+				bytes.Compare(keys[int(q)*stride+rest:int(q)*stride+w], keys[int(p)*stride+rest:int(p)*stride+w]) <= 0) {
 				break
 			}
-			perm[j] = q
+			perm[lo+j], words[j] = q, wq
 			j--
 		}
-		perm[j] = p
+		perm[lo+j], words[j] = p, wp
 	}
+}
+
+// word returns key p's bytes [depth, depth+8) as a big-endian word, zero
+// filled past the key's end: every key has the same width, so words order
+// as the bytes they hold.
+func (s *sorter) word(p int32, depth int) uint64 {
+	k := s.keys[int(p)*s.stride+depth : int(p)*s.stride+s.w]
+	if len(k) >= 8 {
+		return binary.BigEndian.Uint64(k)
+	}
+	var x uint64
+	for i, b := range k {
+		x |= uint64(b) << (56 - 8*i)
+	}
+	return x
 }
 
 // profileRuns adds the equal-key runs of the sorted range perm[lo:hi] to h,
 // comparing only the suffix from depth (the prefix is bucket-equal).
 func (s *sorter) profileRuns(perm []int32, lo, hi, depth int, h *hist) {
-	keys, w := s.keys, s.w
+	keys, stride, w := s.keys, s.stride, s.w
 	run := int64(1)
 	for i := lo + 1; i < hi; i++ {
-		a := int(perm[i-1]) * w
-		b := int(perm[i]) * w
+		a := int(perm[i-1]) * stride
+		b := int(perm[i]) * stride
 		if bytes.Equal(keys[a+depth:a+w], keys[b+depth:b+w]) {
 			run++
 		} else {

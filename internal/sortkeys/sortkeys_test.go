@@ -30,7 +30,7 @@ func (s *refSorter) Swap(i, j int) { s.perm[i], s.perm[j] = s.perm[j], s.perm[i]
 // separate adjacent-compare profiling pass the old prepare stage paid.
 func refSortProfile(keys []byte, w int, perm []int32) []distinct.FreqCount {
 	sort.Sort(&refSorter{keys: keys, w: w, perm: perm})
-	return ProfileSorted(keys, w, perm)
+	return ProfileSorted(keys, w, w, perm)
 }
 
 func identity(n int) []int32 {
@@ -50,7 +50,7 @@ func checkAgainstRef(t *testing.T, keys []byte, w, n int) {
 	wantProfile := refSortProfile(keys, w, refPerm)
 	for _, workers := range []int{1, 2, 3, 8} {
 		perm := identity(n)
-		got := SortProfileWorkers(keys, w, perm, workers)
+		got := SortProfileWorkers(keys, w, w, perm, workers)
 		if len(perm) != n {
 			t.Fatalf("workers=%d: perm length %d, want %d", workers, len(perm), n)
 		}
@@ -79,7 +79,7 @@ func checkAgainstRef(t *testing.T, keys []byte, w, n int) {
 		}
 		// Sort alone must produce the same key order as SortProfile.
 		perm2 := identity(n)
-		SortWorkers(keys, w, perm2, workers)
+		SortWorkers(keys, w, w, perm2, workers)
 		for i := 0; i < n; i++ {
 			a := int(perm2[i]) * w
 			b := int(perm[i]) * w
@@ -148,7 +148,7 @@ func TestSortProfileAllEqual(t *testing.T) {
 	keys := bytes.Repeat([]byte{0xAB}, n*w)
 	checkAgainstRef(t, keys, w, n)
 	perm := identity(n)
-	freqs := SortProfile(keys, w, perm)
+	freqs := SortProfile(keys, w, w, perm)
 	if len(freqs) != 1 || freqs[0].Count != n || freqs[0].Num != 1 {
 		t.Fatalf("all-equal profile = %+v, want one run of %d", freqs, n)
 	}
@@ -156,7 +156,7 @@ func TestSortProfileAllEqual(t *testing.T) {
 
 func TestSortZeroWidth(t *testing.T) {
 	perm := identity(4)
-	freqs := SortProfile(nil, 0, perm)
+	freqs := SortProfile(nil, 0, 0, perm)
 	if len(freqs) != 1 || freqs[0].Count != 4 || freqs[0].Num != 1 {
 		t.Fatalf("zero-width profile = %+v, want one run of 4", freqs)
 	}
@@ -177,7 +177,7 @@ func TestSortLongRunsOverflow(t *testing.T) {
 	n := len(keys) / w
 	checkAgainstRef(t, keys, w, n)
 	perm := identity(n)
-	freqs := SortProfile(keys, w, perm)
+	freqs := SortProfile(keys, w, w, perm)
 	want := []distinct.FreqCount{{Count: 3, Num: 1}, {Count: 600, Num: 1}, {Count: 700, Num: 1}}
 	if len(freqs) != len(want) {
 		t.Fatalf("profile = %+v, want %+v", freqs, want)
@@ -197,11 +197,11 @@ func TestSortParallelDeterminism(t *testing.T) {
 	const n, w = 50000, 16
 	keys := genKeys(g, n, w, 200, false)
 	base := identity(n)
-	baseProfile := SortProfileWorkers(keys, w, base, 1)
+	baseProfile := SortProfileWorkers(keys, w, w, base, 1)
 	for trial := 0; trial < 3; trial++ {
 		for _, workers := range []int{2, 4, 8} {
 			perm := identity(n)
-			profile := SortProfileWorkers(keys, w, perm, workers)
+			profile := SortProfileWorkers(keys, w, w, perm, workers)
 			for i := 0; i < n; i++ {
 				a := int(perm[i]) * w
 				b := int(base[i]) * w

@@ -2,6 +2,7 @@ package value
 
 import (
 	"fmt"
+	"slices"
 )
 
 // RecordArena is the columnar, zero-per-row-allocation sample representation
@@ -36,21 +37,29 @@ type RecordArena struct {
 // NewRecordArena returns an empty arena for rows of schema, with capacity
 // pre-sized for capRows rows.
 func NewRecordArena(schema *Schema, capRows int) *RecordArena {
-	if capRows < 0 {
-		capRows = 0
-	}
-	a := &RecordArena{
-		schema: schema,
-		w:      schema.RowWidth(),
-		recs:   make([]byte, 0, capRows*schema.RowWidth()),
-		keys:   make([]byte, 0, capRows*schema.RowWidth()),
-	}
-	for i := 0; i < schema.NumColumns(); i++ {
-		if !schema.Column(i).Type.IsCharacter() {
-			a.intOffs = append(a.intOffs, schema.ColumnOffsets()[i][0])
-		}
-	}
+	a := &RecordArena{}
+	a.ResetTo(schema, capRows)
 	return a
+}
+
+// ResetTo empties the arena and re-targets it at rows of schema, with
+// capacity for capRows rows, keeping both buffers' capacity: the reuse
+// path for pooled arenas, which may have held another table's rows.
+func (a *RecordArena) ResetTo(schema *Schema, capRows int) {
+	if schema != a.schema {
+		// A fresh slice: Freeze and Clone share intOffs with copies.
+		var offs []int
+		for i := 0; i < schema.NumColumns(); i++ {
+			if !schema.Column(i).Type.IsCharacter() {
+				offs = append(offs, schema.ColumnOffsets()[i][0])
+			}
+		}
+		a.schema, a.w, a.intOffs = schema, schema.RowWidth(), offs
+	}
+	capBytes := max(capRows, 0) * a.w
+	a.recs = slices.Grow(a.recs[:0], capBytes)
+	a.keys = slices.Grow(a.keys[:0], capBytes)
+	a.n = 0
 }
 
 // Schema returns the arena's row schema.
@@ -110,21 +119,6 @@ func (a *RecordArena) flipSigns(start int) {
 	for _, off := range a.intOffs {
 		a.keys[start+off] ^= 0x80
 	}
-}
-
-// AppendRec appends a row given its fixed-width record encoding (exactly
-// RowWidth bytes), deriving the key by copy + sign flips. This is the pure
-// byte-level ingestion path: no Row materialization anywhere.
-func (a *RecordArena) AppendRec(rec []byte) error {
-	if len(rec) != a.w {
-		return fmt.Errorf("value: arena record is %d bytes, schema %s requires %d", len(rec), a.schema, a.w)
-	}
-	start := len(a.recs)
-	a.recs = append(a.recs, rec...)
-	a.keys = append(a.keys, rec...)
-	a.flipSigns(start)
-	a.n++
-	return nil
 }
 
 // SetRow overwrites row i in place with the encoding of row. Width is fixed,
@@ -265,14 +259,37 @@ func (a *RecordArena) AppendFrom(src *RecordArena, order []int64) error {
 	if src.w != a.w {
 		return fmt.Errorf("value: arena gather across schemas %s and %s", src.schema, a.schema)
 	}
-	for _, idx := range order {
-		if idx < 0 || idx >= int64(src.n) {
-			return fmt.Errorf("value: arena gather index %d out of range [0,%d)", idx, src.n)
-		}
-		a.recs = append(a.recs, src.recs[idx*int64(a.w):(idx+1)*int64(a.w)]...)
-		a.keys = append(a.keys, src.keys[idx*int64(a.w):(idx+1)*int64(a.w)]...)
-		a.n++
+	return a.AppendGather(src.recs, order)
+}
+
+// AppendGather appends the record store[i·w : (i+1)·w] for each i in idx,
+// in order, where w is RowWidth and store holds whole records: the batched
+// draw primitive. The records are copied in one tight loop and their keys
+// derived in one pass after it, so a draw touches no per-row call. An index
+// outside the store fails the call with no row appended.
+func (a *RecordArena) AppendGather(store []byte, idx []int64) error {
+	w := int64(a.w)
+	if w == 0 || len(idx) == 0 {
+		return nil
 	}
+	rows := int64(len(store)) / w
+	start := len(a.recs)
+	a.recs = slices.Grow(a.recs, len(idx)*a.w)[:start+len(idx)*a.w]
+	dst := a.recs[start:]
+	for k, i := range idx {
+		if i < 0 || i >= rows {
+			a.recs = a.recs[:start]
+			return fmt.Errorf("value: arena gather index %d out of range [0,%d)", i, rows)
+		}
+		copy(dst[int64(k)*w:int64(k+1)*w], store[i*w:(i+1)*w])
+	}
+	a.keys = append(a.keys, dst...)
+	if len(a.intOffs) > 0 {
+		for r := start; r < len(a.keys); r += a.w {
+			a.flipSigns(r)
+		}
+	}
+	a.n += len(idx)
 	return nil
 }
 
@@ -281,13 +298,97 @@ func (a *RecordArena) AppendFrom(src *RecordArena, order []int64) error {
 // round into a growing sample. Schemas must have identical row widths;
 // rows are copied, so src may be discarded or reused afterwards.
 func (a *RecordArena) AppendAll(src *RecordArena) error {
+	return a.AppendWindow(src.Full())
+}
+
+// AppendWindow appends every row of the window src as a whole row of a,
+// whose RowWidth must equal the window's width: the window's records and
+// keys are copied byte-wise, so the result is the projected arena the
+// window stands for.
+func (a *RecordArena) AppendWindow(src Window) error {
 	if src.w != a.w {
-		return fmt.Errorf("value: arena append across schemas %s and %s", src.schema, a.schema)
+		return fmt.Errorf("value: append of %d-byte window rows to arena of %s (%d bytes)", src.w, a.schema, a.w)
 	}
-	a.recs = append(a.recs, src.recs...)
-	a.keys = append(a.keys, src.keys...)
-	a.n += src.n
+	if src.off == 0 && src.w == src.ar.w {
+		a.recs = append(a.recs, src.ar.recs...)
+		a.keys = append(a.keys, src.ar.keys...)
+	} else {
+		for i := 0; i < src.Len(); i++ {
+			a.recs = append(a.recs, src.Rec(i)...)
+			a.keys = append(a.keys, src.Key(i)...)
+		}
+	}
+	a.n += src.Len()
 	return nil
+}
+
+// Window is the byte range [off, off+width) of every row of an arena. Over
+// a run of adjacent columns in schema order (Schema.ColumnRun) it holds, in
+// place, the records and memcomparable keys of the rows projected onto
+// those columns — key bytes of a column do not depend on its neighbors —
+// so an index on the run is sorted and measured without a projected copy.
+// Rows are addressed at the arena's stride, RowWidth. A Window reads the
+// arena's current rows; it is as safe for concurrent use as the arena.
+type Window struct {
+	ar     *RecordArena
+	off, w int
+}
+
+// Window returns the window [off, off+width) of every row of a. It panics
+// when the range does not lie within a row.
+func (a *RecordArena) Window(off, width int) Window {
+	if off < 0 || width < 0 || off+width > a.w {
+		panic(fmt.Sprintf("value: window [%d,%d) outside %d-byte rows", off, off+width, a.w))
+	}
+	return Window{ar: a, off: off, w: width}
+}
+
+// Full returns the window of whole rows.
+func (a *RecordArena) Full() Window { return Window{ar: a, w: a.w} }
+
+// Arena returns the arena the window reads.
+func (w Window) Arena() *RecordArena { return w.ar }
+
+// Offset returns the window's first byte within a row.
+func (w Window) Offset() int { return w.off }
+
+// Width returns the window's bytes per row.
+func (w Window) Width() int { return w.w }
+
+// Stride returns the distance between consecutive rows' windows: the
+// arena's RowWidth.
+func (w Window) Stride() int { return w.ar.w }
+
+// Len returns the number of rows.
+func (w Window) Len() int { return w.ar.n }
+
+// Rec returns row i's record bytes in the window. The slice aliases the
+// arena.
+func (w Window) Rec(i int) []byte {
+	s := i*w.ar.w + w.off
+	return w.ar.recs[s : s+w.w : s+w.w]
+}
+
+// Key returns row i's key bytes in the window. The slice aliases the arena.
+func (w Window) Key(i int) []byte {
+	s := i*w.ar.w + w.off
+	return w.ar.keys[s : s+w.w : s+w.w]
+}
+
+// Recs returns the record buffer from the window's first byte: row i's
+// window is Recs()[i·Stride() : i·Stride()+Width()].
+func (w Window) Recs() []byte { return tail(w.ar.recs, w.off) }
+
+// Keys returns the key buffer from the window's first byte, addressed like
+// Recs.
+func (w Window) Keys() []byte { return tail(w.ar.keys, w.off) }
+
+// tail returns b[off:], or nil when b is empty (an arena with no rows).
+func tail(b []byte, off int) []byte {
+	if len(b) == 0 {
+		return nil
+	}
+	return b[off:]
 }
 
 // ProjectTo appends every row of the arena, restricted to the columns at

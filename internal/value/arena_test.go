@@ -149,7 +149,7 @@ func TestPropertyArenaProjection(t *testing.T) {
 }
 
 // TestArenaReservoirOps covers the in-place mutation primitives maintained
-// samples use: SetRow, MoveRow, Truncate, AppendFrom, AppendRec.
+// samples use: SetRow, MoveRow, Truncate, AppendFrom, AppendGather.
 func TestArenaReservoirOps(t *testing.T) {
 	schema := arenaTestSchema()
 	r := rng.New(99)
@@ -195,16 +195,16 @@ func TestArenaReservoirOps(t *testing.T) {
 	if err := sub.AppendFrom(ar, []int64{99}); err == nil {
 		t.Fatal("AppendFrom out of range succeeded")
 	}
-	// Raw-record ingestion matches Append.
+	// Raw-record ingestion matches Append, and a bad index appends nothing.
 	raw := NewRecordArena(schema, 1)
-	if err := raw.AppendRec(ar.Rec(0)); err != nil {
+	if err := raw.AppendGather(ar.Recs(), []int64{3, 0}); err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(raw.Key(0), ar.Key(0)) {
-		t.Fatal("AppendRec derived a different key")
+	if raw.Len() != 2 || !bytes.Equal(raw.Key(0), ar.Key(3)) || !bytes.Equal(raw.Key(1), ar.Key(0)) {
+		t.Fatal("AppendGather derived different keys")
 	}
-	if err := raw.AppendRec([]byte{1, 2}); err == nil {
-		t.Fatal("AppendRec with short record succeeded")
+	if err := raw.AppendGather(ar.Recs(), []int64{1, 5}); err == nil || raw.Len() != 2 || len(raw.Recs()) != 2*ar.RowWidth() {
+		t.Fatalf("AppendGather past the store: err %v, %d rows", err, raw.Len())
 	}
 	// Reset retains capacity and empties.
 	raw.Reset()

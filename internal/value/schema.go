@@ -95,6 +95,24 @@ func (s *Schema) Project(names ...string) (*Schema, error) {
 	return NewSchema(cols...)
 }
 
+// ColumnRun reports whether the columns at positions cols are adjacent and
+// in schema order, and if so the byte range [off, off+width) they occupy in
+// a record. Such a run's bytes, in a record or a key, are exactly the
+// record or key of the projected row, so a RecordArena window over them
+// stands in for a projected copy.
+func (s *Schema) ColumnRun(cols []int) (off, width int, ok bool) {
+	if len(cols) == 0 {
+		return 0, 0, false
+	}
+	for k, c := range cols {
+		if c < 0 || c >= len(s.cols) || (k > 0 && c != cols[k-1]+1) {
+			return 0, 0, false
+		}
+	}
+	off = s.offsets[cols[0]][0]
+	return off, s.offsets[cols[len(cols)-1]][1] - off, true
+}
+
 // String renders the schema as "(a CHAR(20), b INT)".
 func (s *Schema) String() string {
 	out := "("
