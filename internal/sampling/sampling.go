@@ -16,8 +16,6 @@ package sampling
 import (
 	"fmt"
 	"math"
-	"slices"
-	"sync"
 
 	"samplecf/internal/rng"
 	"samplecf/internal/value"
@@ -67,48 +65,50 @@ type RecordSource interface {
 // gather appends count rows of src to ar, row pick() for each in turn. It
 // is the draw primitive every row draw into an arena runs through (with
 // or without replacement, whole table or one stratum), and the only place
-// that chooses how a drawn row leaves storage. It draws every index first,
-// in pick order, into a pooled buffer; then a RecordSource's rows are
-// byte-copied out of its store in one tight loop and keyed in one pass
-// after it (value.RecordArena.AppendGather), and any other source — a
-// virtual table, an unsnapshotted db table, a SliceSource — materializes
-// each row with Row and encodes it with Append. pick runs once per row on
-// either path, in the same order, so a given RNG stream draws the same
-// rows and yields the same bytes.
+// that chooses how a drawn row leaves storage. It draws indices ahead of
+// the copy, gatherChunk at a time and in pick order, into a stack buffer;
+// then a RecordSource's rows are byte-copied out of its store in one tight
+// loop and keyed in one pass after it (value.RecordArena.AppendGather),
+// and any other source — a virtual table, an unsnapshotted db table, a
+// SliceSource — materializes each row with Row and encodes it with
+// Append. pick runs once per row on either path, in the same order, so a
+// given RNG stream draws the same rows and yields the same bytes.
 func gather(src RowSource, ar *value.RecordArena, count int64, pick func() int64) error {
 	recs, ok, err := storeOf(src, int64(ar.RowWidth()))
 	if err != nil {
 		return err
 	}
-	buf := indexPool.Get().(*[]int64)
-	defer indexPool.Put(buf)
-	idx := slices.Grow((*buf)[:0], int(count))[:count]
-	*buf = idx
-	for k := range idx {
-		idx[k] = pick()
-	}
-	if ok {
-		if err := ar.AppendGather(recs, idx); err != nil {
-			return fmt.Errorf("sampling: %w", err)
+	var buf [gatherChunk]int64
+	for done := int64(0); done < count; {
+		idx := buf[:min(count-done, gatherChunk)]
+		for k := range idx {
+			idx[k] = pick()
 		}
-	} else {
-		for _, i := range idx {
-			row, err := src.Row(i)
-			if err != nil {
-				return fmt.Errorf("sampling: row fetch: %w", err)
+		if ok {
+			if err := ar.AppendGather(recs, idx); err != nil {
+				return fmt.Errorf("sampling: %w", err)
 			}
-			if err := ar.Append(row); err != nil {
-				return fmt.Errorf("sampling: encode row: %w", err)
+		} else {
+			for _, i := range idx {
+				row, err := src.Row(i)
+				if err != nil {
+					return fmt.Errorf("sampling: row fetch: %w", err)
+				}
+				if err := ar.Append(row); err != nil {
+					return fmt.Errorf("sampling: encode row: %w", err)
+				}
 			}
 		}
+		done += int64(len(idx))
 	}
 	metricRowsDrawn.Add(uint64(count))
 	return nil
 }
 
-// indexPool recycles gather's drawn-index buffers: one []int64 of the
-// draw's size per call, dead once its rows are copied.
-var indexPool = sync.Pool{New: func() any { return new([]int64) }}
+// gatherChunk is how many indices gather draws ahead of its copy loop: a
+// stack buffer of that many, so a draw allocates nothing, while each
+// AppendGather call still copies hundreds of records.
+const gatherChunk = 512
 
 // storeOf returns src's record store when src is a RecordSource, checked
 // to hold NumRows() records of w bytes.
