@@ -191,12 +191,14 @@ func TestCfserveGracefulShutdown(t *testing.T) {
 // TestCfserveExitsWhenOrphaned starts cfserve under a shell that exits
 // once the server is up, orphaning it, and requires the server to notice
 // the re-parenting and drain within 15s. The server's stderr is a pipe
-// only it holds after the shell exits, so end of file there is its exit.
+// only it holds after the shell exits, so end of file there is its exit;
+// the test adopts and reaps it, so no exited server lingers.
 func TestCfserveExitsWhenOrphaned(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds binaries")
 	}
 	cfserve := buildTool(t, "cfserve")
+	adoptOrphans(t)
 	logR, logW, err := os.Pipe()
 	if err != nil {
 		t.Fatal(err)
@@ -230,6 +232,12 @@ func TestCfserveExitsWhenOrphaned(t *testing.T) {
 		}
 		_ = sh.Process.Kill()
 		_ = sh.Wait()
+		if pid > 0 {
+			// The orphaned server is this process's child now (adoptOrphans):
+			// reap it. Where it is not, the call fails and init reaps it.
+			var ws syscall.WaitStatus
+			_, _ = syscall.Wait4(pid, &ws, 0, nil)
+		}
 	})
 	line, err := bufio.NewReader(stdout).ReadString('\n')
 	if err != nil {

@@ -780,6 +780,9 @@ func (e *Engine) WhatIf(ctx context.Context, reqs []Request) []Result {
 // whose key columns are not a run of the table's columns are projected
 // and sort alone.
 func linkChains(groups map[pgKey]*prepGroup) {
+	if len(groups) < 2 {
+		return // a chain needs two members; cache-hit batches have none
+	}
 	type chain struct {
 		sg  *sampleGroup
 		off int
