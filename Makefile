@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: build test race bench bench-diff bench-race perf perf-pair fmt vet
+.PHONY: build test race bench bench-diff bench-race perf perf-pair fmt vet loc
 
 build:
 	$(GO) build ./...
@@ -19,6 +19,11 @@ fmt:
 
 vet:
 	$(GO) vet ./...
+
+# loc prints non-blank, non-test Go line counts: the library (perfbench/
+# excluded) and each internal/ package — the north star's size record.
+loc:
+	@bash scripts/loc.sh
 
 # BENCHTIME scales benchmark effort: CI smoke runs use 1x, local perf
 # tracking should use the default (or higher) for stable numbers.

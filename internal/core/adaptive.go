@@ -101,6 +101,10 @@ type AdaptiveResult struct {
 	// Method names how the CI was computed (CIMethodTheorem1 or
 	// CIMethodBootstrap).
 	Method string
+	// Dropped lists the indices of the arms a stratified loop gave up on
+	// (ErrArmDropped), in the order it dropped them; Estimate composes the
+	// others.
+	Dropped []int
 }
 
 // ExtendFunc supplies one more round of sampled rows, projected to the

@@ -7,8 +7,8 @@
 // internal/sampling (boundaries, directory, per-stratum resumable streams);
 // this file owns composition — weights, merged estimates, the composed
 // confidence interval z·√(Σ w_h²σ_h²) — and the precision-targeted loop
-// that extends only the strata whose variance contribution dominates, the
-// same refinement discipline the engine's shard scatter uses.
+// that extends only the strata whose variance contribution dominates. The
+// engine runs a partitioned table's shards through the same loop, as arms.
 //
 // A note on what stratification can and cannot buy: Theorem 1's bound is
 // data-independent — composed across strata at proportional allocation it
@@ -19,6 +19,7 @@ package core
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"sort"
 	"sync"
@@ -258,9 +259,17 @@ func EstimateStratified(arms []StratumArm, alloc []int64, opts Options) (Estimat
 	return MergeStratified(weights, ests), nil
 }
 
+// ErrArmDropped marks an arm failure the arm's own Extend declares
+// survivable: AdaptiveEstimateStratified drops that arm, composes the
+// survivors (the stratified algebra renormalizes their weights through
+// Σw), and reports the arm in AdaptiveResult.Dropped. Any other Extend
+// error fails the loop.
+var ErrArmDropped = errors.New("core: arm dropped")
+
 // armLoop is one arm's state in a stratified adaptive estimation: its own
 // resumable stream, prepared index, and current (estimate, SD) pair.
 type armLoop struct {
+	idx    int // position in the caller's arm slice
 	arm    *StratumArm
 	prep   *PreparedIndex
 	round  int // next draw round in this arm's stream
@@ -271,16 +280,29 @@ type armLoop struct {
 	err    error
 }
 
+// contribution is the arm's share (w_h·σ_h)² of the composed variance.
+func (l *armLoop) contribution() float64 {
+	return l.arm.Weight * l.sd * l.arm.Weight * l.sd
+}
+
 // AdaptiveEstimateStratified is the precision-targeted loop over stratified
-// arms: per-arm resumable streams, per-arm CI scales composed by stratified
-// variance (half-width z·√(Σ w_h²σ_h²)), and — the part that makes
-// stratification pay — extensions routed only to the arms whose variance
-// contribution (w_h·σ_h)² dominates the composed variance (within 2× of the
-// largest, always including the argmax), the refinement discipline of the
-// engine's sharded adaptive loop. Round 0 is allocated by the caller
+// arms — key-range strata, shards, or shard×stratum cells alike: per-arm
+// resumable streams, per-arm CI scales composed by stratified variance
+// (half-width z·√(Σ w_h²σ_h²)), and — the part that makes stratification
+// pay — extensions routed only to the arms whose variance contribution
+// (w_h·σ_h)² dominates the composed variance (within 2× of the largest,
+// always including the argmax). Round 0 is allocated by the caller
 // (proportional: it doubles as the pilot); later rounds double the chosen
 // arms' total and split it by Neyman allocation over the pilot-observed
-// σ_h, so rows land where population mass times spread is.
+// σ_h, so rows land where population mass times spread is. Near the row
+// budget the extension shrinks to what is left, and when fewer rows are
+// left than arms were chosen, only the largest contributors draw one row
+// each: no round takes the total past target.MaxSampleRows unless round 0
+// already did.
+//
+// An arm whose Extend fails with ErrArmDropped leaves the loop; the
+// result composes the survivors and lists the dropped arms. The loop fails
+// when every arm is dropped.
 func AdaptiveEstimateStratified(arms []StratumArm, round0 []int64, target Precision, opts Options) (AdaptiveResult, error) {
 	if err := target.Validate(); err != nil {
 		return AdaptiveResult{}, err
@@ -303,8 +325,9 @@ func AdaptiveEstimateStratified(arms []StratumArm, round0 []int64, target Precis
 
 	loops := make([]*armLoop, len(arms))
 	for i := range arms {
-		loops[i] = &armLoop{arm: &arms[i], dirty: true}
+		loops[i] = &armLoop{idx: i, arm: &arms[i], dirty: true}
 	}
+	res := AdaptiveResult{}
 
 	// grow draws extra rows from one arm's resumable stream and folds them
 	// into its prepared index (the first call prepares).
@@ -326,7 +349,8 @@ func AdaptiveEstimateStratified(arms []StratumArm, round0 []int64, target Precis
 	}
 
 	// scatter fans grow calls across the bounded workgroup semaphore (never
-	// an engine pool — callers may already run on a pool worker).
+	// an engine pool — callers may already run on a pool worker), then
+	// drops the arms whose Extend gave them up.
 	scatter := func(targets []*armLoop, extras []int64) error {
 		sem := workgroup.NewSem(workgroup.Limit(len(targets)) - 1)
 		var wg sync.WaitGroup
@@ -345,10 +369,31 @@ func AdaptiveEstimateStratified(arms []StratumArm, round0 []int64, target Precis
 			}
 		}
 		wg.Wait()
+		var dropped []error
 		for _, l := range targets {
-			if l.err != nil {
-				return fmt.Errorf("core: %s: %w", l.arm.Label, l.err)
+			if l.err == nil {
+				continue
 			}
+			err := fmt.Errorf("core: %s: %w", l.arm.Label, l.err)
+			if !errors.Is(l.err, ErrArmDropped) {
+				return err
+			}
+			dropped = append(dropped, err)
+		}
+		if len(dropped) == 0 {
+			return nil
+		}
+		live := loops[:0]
+		for _, l := range loops {
+			if l.err != nil {
+				res.Dropped = append(res.Dropped, l.idx)
+			} else {
+				live = append(live, l)
+			}
+		}
+		loops = live
+		if len(loops) == 0 {
+			return errors.Join(dropped...)
 		}
 		return nil
 	}
@@ -357,7 +402,6 @@ func AdaptiveEstimateStratified(arms []StratumArm, round0 []int64, target Precis
 		return AdaptiveResult{}, err
 	}
 
-	res := AdaptiveResult{}
 	var cf, half float64
 	for {
 		strata := make([]stats.Stratum, len(loops))
@@ -392,48 +436,7 @@ func AdaptiveEstimateStratified(arms []StratumArm, round0 []int64, target Precis
 		if target.MaxSampleRows > 0 && rows >= target.MaxSampleRows {
 			break // budget exhausted: honest non-convergence
 		}
-		// Choose the arms whose variance contribution dominates, double
-		// their cumulative sample, and split the new rows by Neyman
-		// allocation across the chosen arms.
-		var maxC float64
-		for _, l := range loops {
-			if c := l.arm.Weight * l.sd * l.arm.Weight * l.sd; c > maxC {
-				maxC = c
-			}
-		}
-		var chosen []*armLoop
-		var counts []int64
-		var sigmas []float64
-		var want int64
-		for _, l := range loops {
-			if c := l.arm.Weight * l.sd * l.arm.Weight * l.sd; c >= maxC/2 {
-				chosen = append(chosen, l)
-				counts = append(counts, l.arm.Rows)
-				sigmas = append(sigmas, l.sd)
-				want += l.prep.SampleRows()
-			}
-		}
-		extras := sampling.NeymanAllocate(want, counts, sigmas)
-		if remaining := target.MaxSampleRows - rows; target.MaxSampleRows > 0 && want > remaining {
-			// Scale the extras to the remaining budget, at least one row
-			// each; a slight overshoot just ends the loop next round.
-			var scaled int64
-			for i := range extras {
-				extras[i] = extras[i] * remaining / want
-				if extras[i] < 1 {
-					extras[i] = 1
-				}
-				scaled += extras[i]
-			}
-			for i := len(extras) - 1; i >= 0 && scaled > remaining; i-- {
-				cut := extras[i] - 1
-				if over := scaled - remaining; cut > over {
-					cut = over
-				}
-				extras[i] -= cut
-				scaled -= cut
-			}
-		}
+		chosen, extras := extension(loops, target.MaxSampleRows-rows, target.MaxSampleRows > 0)
 		if err := scatter(chosen, extras); err != nil {
 			return AdaptiveResult{}, err
 		}
@@ -451,6 +454,67 @@ func AdaptiveEstimateStratified(arms []StratumArm, round0 []int64, target Precis
 	return res, nil
 }
 
+// extension plans one refinement round: choose the arms whose variance
+// contribution dominates, double their cumulative sample, and split the
+// new rows by Neyman allocation across them. Under a budget (capped) the
+// extras scale to the remaining rows, at least one each; when fewer rows
+// remain than arms were chosen, only the largest contributors (earlier
+// arm first on ties) draw, one row each. Every returned extra is ≥ 1.
+func extension(loops []*armLoop, remaining int64, capped bool) ([]*armLoop, []int64) {
+	var maxC float64
+	for _, l := range loops {
+		if c := l.contribution(); c > maxC {
+			maxC = c
+		}
+	}
+	var chosen []*armLoop
+	var counts []int64
+	var sigmas []float64
+	var want int64
+	for _, l := range loops {
+		if l.contribution() >= maxC/2 {
+			chosen = append(chosen, l)
+			counts = append(counts, l.arm.Rows)
+			sigmas = append(sigmas, l.sd)
+			want += l.prep.SampleRows()
+		}
+	}
+	if !capped || want <= remaining {
+		return chosen, sampling.NeymanAllocate(want, counts, sigmas)
+	}
+	if remaining < int64(len(chosen)) {
+		sort.SliceStable(chosen, func(i, j int) bool {
+			return chosen[i].contribution() > chosen[j].contribution()
+		})
+		chosen = chosen[:remaining]
+		extras := make([]int64, len(chosen))
+		for i := range extras {
+			extras[i] = 1
+		}
+		return chosen, extras
+	}
+	// Scale the extras to the remaining budget, at least one row each,
+	// then trim the overshoot from the last arms.
+	extras := sampling.NeymanAllocate(want, counts, sigmas)
+	var scaled int64
+	for i := range extras {
+		extras[i] = extras[i] * remaining / want
+		if extras[i] < 1 {
+			extras[i] = 1
+		}
+		scaled += extras[i]
+	}
+	for i := len(extras) - 1; i >= 0 && scaled > remaining; i-- {
+		cut := extras[i] - 1
+		if over := scaled - remaining; cut > over {
+			cut = over
+		}
+		extras[i] -= cut
+		scaled -= cut
+	}
+	return chosen, extras
+}
+
 // DirectoryArms builds one StratumArm per non-empty stratum of a directory
 // with per-stratum Weyl-derived stream seeds — the engine's entry point to
 // arm construction. Allocations are the caller's concern: align them with
@@ -459,6 +523,34 @@ func DirectoryArms(src sampling.RowSource, schema *value.Schema, keyCols []strin
 	dir *sampling.StrataDirectory, seed uint64) []StratumArm {
 	arms, _ := directoryArms(src, schema, keyCols, dir, seed, make([]int64, len(dir.Counts())))
 	return arms
+}
+
+// TableArm is the single arm of an unstratified source: the whole table as
+// one resumable stream at seed, with no directory. Its draws are
+// sampling.UniformWRInto and sampling.ExtendWRInto, which pick exactly the
+// rows a one-stratum directory arm picks (that directory is the identity
+// over [0, n)) without the O(n) scan that builds it.
+func TableArm(src sampling.RowSource, schema *value.Schema, keyCols []string, seed uint64) StratumArm {
+	return StratumArm{
+		Label:  "table",
+		Weight: 1,
+		Rows:   src.NumRows(),
+		Seed:   seed,
+		Draw: func(r int64) (*value.RecordArena, error) {
+			full := value.NewRecordArena(schema, int(r))
+			if err := sampling.UniformWRInto(src, r, rng.New(seed), full); err != nil {
+				return nil, err
+			}
+			return ProjectSample(full, keyCols)
+		},
+		Extend: func(round int, extra int64) (*value.RecordArena, error) {
+			full := value.NewRecordArena(schema, int(extra))
+			if err := sampling.ExtendWRInto(src, full, extra, seed, round); err != nil {
+				return nil, err
+			}
+			return ProjectSample(full, keyCols)
+		},
+	}
 }
 
 // directoryArms builds one StratumArm per non-empty stratum of a directory,

@@ -2,9 +2,13 @@ package core
 
 import (
 	"bytes"
+	"fmt"
+	"sync"
 	"testing"
 
+	"samplecf/internal/rng"
 	"samplecf/internal/sampling"
+	"samplecf/internal/value"
 )
 
 // boundarySource wraps a RowSource with a canned IndexKeyBoundaries answer,
@@ -217,6 +221,72 @@ func TestEquiDepthFromKeysUnsortedInput(t *testing.T) {
 	for i, k := range keys {
 		if string(k) != orig[i] {
 			t.Fatal("input keys mutated")
+		}
+	}
+}
+
+// TestStratifiedAdaptiveBudgetHolds is the budget property of the
+// multi-arm loop over random arm counts, round-0 sizes and row budgets:
+// no extension round takes the total past max(MaxSampleRows, round-0
+// rows) — even when fewer rows remain than arms are chosen — and no arm
+// is ever asked for zero rows.
+func TestStratifiedAdaptiveBudgetHolds(t *testing.T) {
+	tab := adaptiveTable(t, "zipf", 6000, 5)
+	g := rng.New(29)
+	for trial := 0; trial < 40; trial++ {
+		strata := 2 + g.Intn(15)
+		r0 := 1 + g.Int63n(200)
+		budget := 1 + g.Int63n(600)
+		codec := "nullsuppression"
+		if trial%4 == 0 {
+			codec = "rle"
+		}
+		bounds, err := StratumBoundaries(tab, tab.Schema(), []string{"a"}, strata)
+		if err != nil {
+			t.Fatal(err)
+		}
+		dir, err := StratifyTable(tab, tab.Schema(), []string{"a"}, bounds)
+		if err != nil {
+			t.Fatal(err)
+		}
+		arms := DirectoryArms(tab, tab.Schema(), []string{"a"}, dir, uint64(trial))
+		var mu sync.Mutex
+		var drawn, firstRound int64
+		for i := range arms {
+			ext := arms[i].Extend
+			arms[i].Extend = func(round int, extra int64) (*value.RecordArena, error) {
+				if extra < 1 {
+					return nil, fmt.Errorf("round %d asked for %d rows", round, extra)
+				}
+				mu.Lock()
+				drawn += extra
+				if round == 0 {
+					firstRound += extra
+				}
+				mu.Unlock()
+				return ext(round, extra)
+			}
+		}
+		counts := make([]int64, len(arms))
+		for i := range arms {
+			counts[i] = arms[i].Rows
+		}
+		res, err := AdaptiveEstimateStratified(arms, sampling.Allocate(r0, counts, nil),
+			Precision{TargetError: 1e-4, MaxSampleRows: budget},
+			Options{Codec: mustCodec(t, codec), Seed: uint64(trial)})
+		if err != nil {
+			t.Fatalf("trial %d (%d arms, r0 %d, budget %d): %v", trial, len(arms), r0, budget, err)
+		}
+		limit := budget
+		if firstRound > limit {
+			limit = firstRound
+		}
+		if drawn > limit {
+			t.Errorf("trial %d (%d arms, r0 %d, budget %d): drew %d rows, limit %d",
+				trial, len(arms), r0, budget, drawn, limit)
+		}
+		if res.Estimate.SampleRows != drawn {
+			t.Errorf("trial %d: estimate covers %d rows, arms drew %d", trial, res.Estimate.SampleRows, drawn)
 		}
 	}
 }

@@ -148,7 +148,7 @@ func BenchmarkAdaptiveStratifiedZipf(b *testing.B) {
 	run := func(b *testing.B, strata int) {
 		e := New(Config{CacheEntries: -1})
 		defer e.Close()
-		e.strataDirs = newStrataCache(4) // keep only the directory resident
+		e.strataDirs = newLRU[dirKey, *dirEntry](4, nil) // keep only the directory resident
 		var rows, errPts, rounds float64
 		for i := 0; i < b.N; i++ {
 			res := e.Estimate(context.Background(), Request{

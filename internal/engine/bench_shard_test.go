@@ -1,10 +1,14 @@
 package engine
 
 import (
+	"bytes"
 	"context"
 	"fmt"
+	"math"
+	"sort"
 	"testing"
 
+	"samplecf/internal/core"
 	"samplecf/internal/db"
 	"samplecf/internal/value"
 )
@@ -107,4 +111,73 @@ func BenchmarkHotShardCacheHit(b *testing.B) {
 			b.Fatalf("untouched shards served %d hits over %d iterations, want 3 per iteration", hits, b.N)
 		}
 	})
+}
+
+// BenchmarkShardedAdaptive measures the adaptive loop over shard arms: a
+// ±2% rle ask (Strata 0) on a 4-shard table whose shards differ in
+// compressibility. The key is benchZipfTable's zipf-skewed, bimodal-length
+// column, inserted in key order and range-partitioned on the insert
+// sequence, so the head values' long runs land in shard 0 and the tail in
+// shard 3. Round 0 is a 64-row proportional pilot, so the rows after it
+// are the extension policy's. It reports rows drawn per estimate, err_pts
+// = 100·|CF' − CF| against the exact CF, and rounds per estimate. Caches
+// are off and seeds vary, so every iteration re-spends its rows.
+func BenchmarkShardedAdaptive(b *testing.B) {
+	const shards, n = 4, 100_000
+	const requirement = 0.02
+	src := benchZipfTable(b, n)
+	var keys [][]byte
+	if err := src.Scan(func(_ int64, row value.Row) error {
+		keys = append(keys, append([]byte(nil), row[0]...))
+		return nil
+	}); err != nil {
+		b.Fatal(err)
+	}
+	sort.Slice(keys, func(i, j int) bool { return bytes.Compare(keys[i], keys[j]) < 0 })
+	schema, err := value.NewSchema(
+		value.Column{Name: "a", Type: value.Char(64)},
+		value.Column{Name: "seq", Type: value.Int32()},
+	)
+	if err != nil {
+		b.Fatal(err)
+	}
+	bounds := make([][]byte, shards-1)
+	for i := range bounds {
+		bounds[i] = value.IntValue(int32((i + 1) * n / shards))
+	}
+	st, err := db.New(0).CreateShardedTable("sharded-adaptive", schema, db.ShardSpec{
+		Shards: shards, Column: "seq", By: db.ShardByRange, Bounds: bounds,
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	for i, k := range keys {
+		if _, err := st.Insert(value.Row{k, value.IntValue(int32(i))}); err != nil {
+			b.Fatal(err)
+		}
+	}
+	truth, err := core.TrueCF(st, []string{"a"}, codec(b, "rle"), 0)
+	if err != nil {
+		b.Fatal(err)
+	}
+	e := New(Config{CacheEntries: -1})
+	defer e.Close()
+	var rows, errPts, rounds float64
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		res := e.Estimate(context.Background(), Request{
+			Table: st, KeyColumns: []string{"a"}, Codec: codec(b, "rle"),
+			TargetError: requirement, Seed: uint64(i),
+			SampleRows: 64, // round-0 seed, small enough that the loop has to extend
+		})
+		if res.Err != nil {
+			b.Fatal(res.Err)
+		}
+		rows += float64(res.Estimate.SampleRows)
+		errPts += 100 * math.Abs(res.Estimate.CF-truth.CF())
+		rounds += float64(res.Rounds)
+	}
+	b.ReportMetric(rows/float64(b.N), "rows/est")
+	b.ReportMetric(errPts/float64(b.N), "err_pts")
+	b.ReportMetric(rounds/float64(b.N), "rounds/est")
 }

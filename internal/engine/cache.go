@@ -1,7 +1,6 @@
 package engine
 
 import (
-	"container/list"
 	"sync"
 
 	"samplecf/internal/core"
@@ -45,71 +44,108 @@ type cacheKey struct {
 // entries; real shard indices are ≥ 0.
 const wholeTable = -1
 
-// lruCache is a fixed-capacity LRU map from cacheKey to core.Estimate.
-// A zero capacity disables caching (every Get misses, Put is a no-op).
-type lruCache struct {
+// lru is a fixed-capacity least-recently-used map, the one eviction
+// structure behind the engine's result, precision, strata-directory and
+// stale caches. A zero capacity disables it: Get always misses and Put
+// stores nothing. When clone is set, values are copied on the way in and
+// out, so no caller shares a resident value.
+type lru[K comparable, V any] struct {
 	mu       sync.Mutex
 	capacity int
-	order    *list.List // front = most recent; values are *lruEntry
-	items    map[cacheKey]*list.Element
+	clone    func(V) V
+	items    map[K]*lruNode[K, V]
+	root     lruNode[K, V] // sentinel: root.next is the most recent entry, root.prev the least
 }
 
-type lruEntry struct {
-	key cacheKey
-	est core.Estimate
+type lruNode[K comparable, V any] struct {
+	key        K
+	val        V
+	prev, next *lruNode[K, V]
 }
 
-func newLRUCache(capacity int) *lruCache {
+func newLRU[K comparable, V any](capacity int, clone func(V) V) *lru[K, V] {
 	if capacity < 0 {
 		capacity = 0
 	}
-	return &lruCache{
-		capacity: capacity,
-		order:    list.New(),
-		items:    make(map[cacheKey]*list.Element, capacity),
-	}
+	c := &lru[K, V]{capacity: capacity, clone: clone, items: make(map[K]*lruNode[K, V], capacity)}
+	c.root.next, c.root.prev = &c.root, &c.root
+	return c
 }
 
-// Get returns the cached estimate for key, refreshing its recency. The
-// estimate's frequency profile is deep-copied so concurrent hits never
-// alias one map and callers may mutate their copy freely.
-func (c *lruCache) Get(key cacheKey) (core.Estimate, bool) {
+// Get returns key's value when one is resident and accept (nil accepts
+// any) takes it; only an accepted value becomes the most recent.
+func (c *lru[K, V]) Get(key K, accept func(V) bool) (V, bool) {
+	var zero V
 	if c.capacity == 0 {
-		return core.Estimate{}, false
+		return zero, false
+	}
+	c.mu.Lock()
+	n, ok := c.items[key]
+	if !ok || (accept != nil && !accept(n.val)) {
+		c.mu.Unlock()
+		return zero, false
+	}
+	c.moveToFront(n)
+	v := n.val
+	c.mu.Unlock()
+	if c.clone != nil {
+		v = c.clone(v)
+	}
+	return v, true
+}
+
+// Put stores v under key, unless a value is resident and keep (nil keeps
+// nothing) keeps it; either way key becomes the most recent. keep runs
+// under the cache lock, so a check-and-replace is atomic. Put returns the
+// number of entries it evicted (0 or 1).
+func (c *lru[K, V]) Put(key K, v V, keep func(old V) bool) int {
+	if c.capacity == 0 {
+		return 0
+	}
+	if c.clone != nil {
+		v = c.clone(v)
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	el, ok := c.items[key]
-	if !ok {
-		return core.Estimate{}, false
-	}
-	c.order.MoveToFront(el)
-	return cloneEstimate(el.Value.(*lruEntry).est), true
-}
-
-// Put stores a private copy of est under key, evicting the
-// least-recently-used entry when over capacity. Returns the number of
-// evictions (0 or 1).
-func (c *lruCache) Put(key cacheKey, est core.Estimate) int {
-	if c.capacity == 0 {
+	if n, ok := c.items[key]; ok {
+		if keep == nil || !keep(n.val) {
+			n.val = v
+		}
+		c.moveToFront(n)
 		return 0
 	}
-	est = cloneEstimate(est)
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if el, ok := c.items[key]; ok {
-		el.Value.(*lruEntry).est = est
-		c.order.MoveToFront(el)
+	n := &lruNode[K, V]{key: key, val: v}
+	c.items[key] = n
+	c.link(n)
+	if len(c.items) <= c.capacity {
 		return 0
 	}
-	c.items[key] = c.order.PushFront(&lruEntry{key: key, est: est})
-	if c.order.Len() <= c.capacity {
-		return 0
-	}
-	oldest := c.order.Back()
-	c.order.Remove(oldest)
-	delete(c.items, oldest.Value.(*lruEntry).key)
+	oldest := c.root.prev
+	c.unlink(oldest)
+	delete(c.items, oldest.key)
 	return 1
+}
+
+// Len reports the current entry count.
+func (c *lru[K, V]) Len() int {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return len(c.items)
+}
+
+func (c *lru[K, V]) link(n *lruNode[K, V]) {
+	n.prev, n.next = &c.root, c.root.next
+	n.next.prev = n
+	c.root.next = n
+}
+
+func (c *lru[K, V]) unlink(n *lruNode[K, V]) {
+	n.prev.next, n.next.prev = n.next, n.prev
+}
+
+func (c *lru[K, V]) moveToFront(n *lruNode[K, V]) {
+	c.unlink(n)
+	c.link(n)
 }
 
 // precisionKey identifies the family of adaptive estimates a cached
@@ -136,9 +172,13 @@ type precisionKey struct {
 	strata int
 }
 
-// precisionEntry is one cached adaptive outcome.
+// precisionEntry is one cached adaptive outcome. The precision cache is
+// the adaptive complement of the result cache: per precisionKey it holds
+// the tightest estimate achieved so far, and lookups are by dominance — a
+// request is a hit when the stored interval, rescaled to the request's
+// confidence, is within the requested target error — so an entry computed
+// at ±1% keeps satisfying ±5% traffic without resampling.
 type precisionEntry struct {
-	key precisionKey
 	est core.Estimate
 	// sdScale is the confidence-free size of the achieved interval: the
 	// half-width at confidence z is sdScale·z (Theorem 1: 1/(2√r);
@@ -146,90 +186,27 @@ type precisionEntry struct {
 	// entry answer requests at any confidence level.
 	sdScale float64
 	rounds  int
-	rows    int64
 }
 
-// precisionCache is the adaptive complement of lruCache: a fixed-capacity
-// LRU over precisionKey holding, per key, the tightest estimate achieved so
-// far. Lookups are by dominance — a request is a hit when the stored
-// interval, rescaled to the request's confidence, is within the requested
-// target error — so an entry computed at ±1% keeps satisfying ±5% traffic
-// without resampling. Zero capacity disables it.
-type precisionCache struct {
-	mu       sync.Mutex
-	capacity int
-	order    *list.List // front = most recent; values are *precisionEntry
-	items    map[precisionKey]*list.Element
+func clonePrecision(p precisionEntry) precisionEntry {
+	p.est = cloneEstimate(p.est)
+	return p
 }
 
-func newPrecisionCache(capacity int) *precisionCache {
-	if capacity < 0 {
-		capacity = 0
-	}
-	return &precisionCache{
-		capacity: capacity,
-		order:    list.New(),
-		items:    make(map[precisionKey]*list.Element, capacity),
-	}
+// precisionHit returns the cached entry for key if it dominates a request
+// with the given z multiplier and target half-width.
+func (e *Engine) precisionHit(key precisionKey, z, targetError float64) (precisionEntry, bool) {
+	return e.precision.Get(key, func(p precisionEntry) bool { return p.sdScale*z <= targetError })
 }
 
-// Get returns the cached entry for key if it dominates a request with the
-// given z multiplier and target half-width.
-func (c *precisionCache) Get(key precisionKey, z, targetError float64) (precisionEntry, bool) {
-	if c.capacity == 0 {
-		return precisionEntry{}, false
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	el, ok := c.items[key]
-	if !ok {
-		return precisionEntry{}, false
-	}
-	ent := el.Value.(*precisionEntry)
-	if ent.sdScale*z > targetError {
-		return precisionEntry{}, false // cached interval too loose for this ask
-	}
-	c.order.MoveToFront(el)
-	out := *ent
-	out.est = cloneEstimate(ent.est)
-	return out, true
-}
-
-// Put stores an adaptive outcome, keeping the tightest sdScale per key.
-// Returns the number of evictions (0 or 1).
-func (c *precisionCache) Put(key precisionKey, est core.Estimate, sdScale float64, rounds int, rows int64) int {
-	if c.capacity == 0 {
-		return 0
-	}
-	ent := &precisionEntry{key: key, est: cloneEstimate(est), sdScale: sdScale, rounds: rounds, rows: rows}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if el, ok := c.items[key]; ok {
-		if old := el.Value.(*precisionEntry); old.sdScale <= sdScale {
-			// The resident entry is at least as tight; a looser result
-			// never replaces it (dominance is one-directional).
-			c.order.MoveToFront(el)
-			return 0
-		}
-		el.Value = ent
-		c.order.MoveToFront(el)
-		return 0
-	}
-	c.items[key] = c.order.PushFront(ent)
-	if c.order.Len() <= c.capacity {
-		return 0
-	}
-	oldest := c.order.Back()
-	c.order.Remove(oldest)
-	delete(c.items, oldest.Value.(*precisionEntry).key)
-	return 1
-}
-
-// Len reports the current entry count.
-func (c *precisionCache) Len() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.order.Len()
+// publishPrecision stores an adaptive outcome for dominance reuse, stored
+// confidence-free (half-width ÷ z) so one entry answers asks at any
+// confidence level. A looser result never replaces a tighter resident
+// one: dominance is one-directional.
+func (e *Engine) publishPrecision(key precisionKey, res core.AdaptiveResult, confidence float64) {
+	sdScale := res.AchievedError / zFor(confidence)
+	e.precision.Put(key, precisionEntry{est: res.Estimate, sdScale: sdScale, rounds: res.Rounds},
+		func(old precisionEntry) bool { return old.sdScale <= sdScale })
 }
 
 // cloneEstimate copies the one mutable field of an Estimate (the profile's
@@ -241,11 +218,4 @@ func cloneEstimate(est core.Estimate) core.Estimate {
 	}
 	est.Profile.F = f
 	return est
-}
-
-// Len reports the current entry count.
-func (c *lruCache) Len() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.order.Len()
 }

@@ -3,6 +3,7 @@ package engine
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math"
 	"sort"
 	"strings"
@@ -249,42 +250,76 @@ func TestChaosDegradedHalfWidthFormula(t *testing.T) {
 	}
 }
 
-// TestChaosAdaptiveDegraded proves the sharded adaptive loop degrades the
-// same way: a persistently failing arm drops out under AllowPartial, the
-// surviving arms converge with renormalized weights, the failed shard is
-// reported, and the degraded interval never enters the precision cache.
+// TestChaosAdaptiveDegraded proves the multi-arm adaptive loop degrades
+// like the fixed scatter, whether each shard is one arm (Strata 0) or a
+// set of shard×stratum arms (Strata 4): a persistently failing shard
+// fails the strict ask with an error naming it, and under AllowPartial
+// its arms drop out, the surviving arms converge with renormalized
+// weights, the failed shard is reported, and the degraded interval never
+// enters the precision cache.
 func TestChaosAdaptiveDegraded(t *testing.T) {
-	armChaos(t, "engine.scatter[1]:err@1+", 1)
+	for _, strata := range []int{0, 4} {
+		t.Run(fmt.Sprintf("strata=%d", strata), func(t *testing.T) {
+			armChaos(t, "engine.scatter[1]:err@1+", 1)
+			d := db.New(0)
+			st := liveShardedTable(t, d, "t", 3, 1000)
+			e := chaosEngine(t, Config{Workers: 2})
+			req := Request{Table: st, Codec: mustCodec(t), KeyColumns: []string{"city"},
+				Seed: 11, TargetError: 0.05, Strata: strata}
+
+			strict := e.Estimate(context.Background(), req)
+			if strict.Err == nil || !strings.Contains(strict.Err.Error(), "shard 1") {
+				t.Fatalf("strict adaptive error = %v, want an error naming shard 1", strict.Err)
+			}
+			if !errors.Is(strict.Err, faults.ErrInjected) {
+				t.Errorf("strict error lost the injected sentinel: %v", strict.Err)
+			}
+
+			req.AllowPartial = true
+			res := e.Estimate(context.Background(), req)
+			if res.Err != nil {
+				t.Fatalf("partial adaptive failed: %v", res.Err)
+			}
+			if !res.Degraded || len(res.ShardsFailed) != 1 || res.ShardsFailed[0] != 1 {
+				t.Fatalf("Degraded=%v ShardsFailed=%v, want degraded [1]", res.Degraded, res.ShardsFailed)
+			}
+			if res.AchievedError <= 0 {
+				t.Errorf("degraded adaptive reports no interval: %v", res.AchievedError)
+			}
+			if res.Estimate.CF <= 0 || res.Estimate.CF > 1 {
+				t.Errorf("degraded CF %v outside (0,1]", res.Estimate.CF)
+			}
+
+			// Never cached: the repeat recomputes instead of a precision hit.
+			res2 := e.Estimate(context.Background(), req)
+			if res2.CacheHit || !res2.Degraded {
+				t.Errorf("repeat: CacheHit=%v Degraded=%v, want a recomputed degraded answer", res2.CacheHit, res2.Degraded)
+			}
+			if s := e.Stats(); s.PrecisionHits != 0 || s.PrecisionEntries != 0 {
+				t.Errorf("precision hits %d, entries %d; want 0 and 0", s.PrecisionHits, s.PrecisionEntries)
+			}
+		})
+	}
+}
+
+// TestChaosAdaptiveTransientHealsByRetry proves the grow hook's retry:
+// a fault that fires only on shard 1's first extension is retried with
+// backoff, and the adaptive sharded ask converges undegraded.
+func TestChaosAdaptiveTransientHealsByRetry(t *testing.T) {
+	armChaos(t, "engine.scatter[1]:err@1", 1)
 	d := db.New(0)
 	st := liveShardedTable(t, d, "t", 3, 1000)
 	e := chaosEngine(t, Config{Workers: 2})
-	req := Request{Table: st, Codec: mustCodec(t), KeyColumns: []string{"city"},
-		Seed: 11, TargetError: 0.05}
-
-	strict := e.Estimate(context.Background(), req)
-	if strict.Err == nil || !strings.Contains(strict.Err.Error(), "shard 1") {
-		t.Fatalf("strict adaptive error = %v, want joined error naming shard 1", strict.Err)
-	}
-
-	req.AllowPartial = true
-	res := e.Estimate(context.Background(), req)
+	res := e.Estimate(context.Background(), Request{Table: st, Codec: mustCodec(t),
+		KeyColumns: []string{"city"}, Seed: 11, TargetError: 0.05})
 	if res.Err != nil {
-		t.Fatalf("partial adaptive failed: %v", res.Err)
+		t.Fatalf("transient fault was not healed: %v", res.Err)
 	}
-	if !res.Degraded || len(res.ShardsFailed) != 1 || res.ShardsFailed[0] != 1 {
-		t.Fatalf("Degraded=%v ShardsFailed=%v, want degraded [1]", res.Degraded, res.ShardsFailed)
+	if res.Degraded || !res.Converged {
+		t.Errorf("Degraded=%v Converged=%v, want a converged whole answer", res.Degraded, res.Converged)
 	}
-	if res.AchievedError <= 0 {
-		t.Errorf("degraded adaptive reports no interval: %v", res.AchievedError)
-	}
-
-	// Never cached: the repeat recomputes instead of a precision hit.
-	res2 := e.Estimate(context.Background(), req)
-	if res2.CacheHit {
-		t.Error("degraded adaptive result served from the precision cache")
-	}
-	if e.Stats().PrecisionHits != 0 {
-		t.Errorf("precision hits = %d, want 0", e.Stats().PrecisionHits)
+	if got := e.Stats().ShardRetries; got == 0 {
+		t.Error("retry ledger empty despite a healed transient fault")
 	}
 }
 

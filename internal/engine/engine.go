@@ -305,10 +305,10 @@ type Stats struct {
 // with Close. All methods are safe for concurrent use.
 type Engine struct {
 	cfg        Config
-	cache      *lruCache
-	precision  *precisionCache
-	strataDirs *strataCache
-	stale      *staleCache
+	cache      *lru[cacheKey, core.Estimate]
+	precision  *lru[precisionKey, precisionEntry]
+	strataDirs *lru[dirKey, *dirEntry]
+	stale      *lru[any, Result]
 	flights    flightGroup
 	registry   *obs.Registry
 
@@ -342,10 +342,10 @@ func New(cfg Config) *Engine {
 	}
 	e := &Engine{
 		cfg:        cfg,
-		cache:      newLRUCache(cfg.CacheEntries),
-		precision:  newPrecisionCache(cfg.CacheEntries),
-		strataDirs: newStrataCache(cfg.CacheEntries),
-		stale:      newStaleCache(cfg.CacheEntries),
+		cache:      newLRU[cacheKey](cfg.CacheEntries, cloneEstimate),
+		precision:  newLRU[precisionKey](cfg.CacheEntries, clonePrecision),
+		strataDirs: newLRU[dirKey, *dirEntry](cfg.CacheEntries, nil),
+		stale:      newLRU[any](cfg.CacheEntries, cloneResult),
 		breakers:   make(map[breakerKey]*breaker),
 		registry:   reg,
 		jobs:       make(chan func()),
@@ -594,7 +594,7 @@ func (e *Engine) WhatIf(ctx context.Context, reqs []Request) []Result {
 			if sh, ok := req.Table.(catalog.Sharded); ok {
 				pk.epochs = packEpochs(sh.EpochVector())
 			}
-			if ent, ok := e.precision.Get(pk, zFor(req.Confidence), req.TargetError); ok {
+			if ent, ok := e.precisionHit(pk, zFor(req.Confidence), req.TargetError); ok {
 				// A dominance answer counts in both ledgers: Hits keeps
 				// hits/misses symmetric across fixed and adaptive traffic,
 				// PrecisionHits attributes it to the dominance rule.
@@ -667,7 +667,7 @@ func (e *Engine) WhatIf(ctx context.Context, reqs []Request) []Result {
 				shard:    wholeTable,
 				strata:   req.Strata,
 			}
-			if est, ok := e.cache.Get(key); ok {
+			if est, ok := e.cache.Get(key, nil); ok {
 				e.hits.Add(1)
 				results[i] = Result{Estimate: est, CacheHit: true}
 				continue
@@ -700,7 +700,7 @@ func (e *Engine) WhatIf(ctx context.Context, reqs []Request) []Result {
 			fresh:    req.FreshSample,
 			shard:    wholeTable,
 		}
-		if est, ok := e.cache.Get(key); ok {
+		if est, ok := e.cache.Get(key, nil); ok {
 			e.hits.Add(1)
 			results[i] = Result{Estimate: est, CacheHit: true}
 			continue
@@ -900,7 +900,7 @@ func (e *Engine) evaluateItem(ctx context.Context, it *batchItem) Result {
 		e.samplesShared.Add(1)
 	}
 	_, endCache := obs.StartSpan(ctx, "cache")
-	if ev := e.cache.Put(it.key, est); ev > 0 {
+	if ev := e.cache.Put(it.key, est, nil); ev > 0 {
 		e.evictions.Add(uint64(ev))
 	}
 	endCache.End()
@@ -1035,12 +1035,14 @@ func zFor(confidence float64) float64 {
 // evaluateAdaptive runs one precision-targeted request on a pool worker:
 // grow the sample in resumable rounds (estimate → CI-check → extend) until
 // the target half-width is met or the row budget runs out, then publish the
-// achieved precision to the dominance cache. The sample rounds come from
-// the maintained sample when its reservoir can cover the entire row budget
-// at the request's epoch, otherwise from fresh resumable uniform-WR draws.
-// Batch items with identical adaptive keys share one loop (it.ag); ctx is
-// re-checked before every extension round, so an expired deadline stops
-// the loop at the next round boundary instead of running the budget out.
+// achieved precision to the dominance cache. Sharded and stratified asks
+// run the multi-arm loop (runStratifiedAdaptive); a plain table's rounds
+// come from the maintained sample when its reservoir can cover the entire
+// row budget at the request's epoch, otherwise from fresh resumable
+// uniform-WR draws (runAdaptive). Batch items with identical adaptive keys
+// share one loop (it.ag); ctx is re-checked before every extension round,
+// so an expired deadline stops the loop at the next round boundary
+// instead of running the budget out.
 func (e *Engine) evaluateAdaptive(ctx context.Context, it *batchItem) Result {
 	ag := it.ag
 	ag.once.Do(func() {
@@ -1048,14 +1050,10 @@ func (e *Engine) evaluateAdaptive(ctx context.Context, it *batchItem) Result {
 		// error for the whole group, not a "done" group with neither
 		// result nor error.
 		defer e.trapShardPanic(&ag.err)
-		if it.req.Strata > 0 {
-			// Stratified loops (sharded or not) build their arm set from
-			// the strata directories; shard composition happens inside.
-			ag.res, ag.err = e.runStratifiedAdaptive(ctx, it.req, it.pkey)
-			return
-		}
-		if sh, ok := it.req.Table.(catalog.Sharded); ok {
-			ag.res, ag.failed, ag.err = e.runShardedAdaptive(ctx, it.req, it.pkey, sh)
+		if _, sharded := it.req.Table.(catalog.Sharded); sharded || it.req.Strata > 0 {
+			// Shards, strata, and shard×stratum cells are all arms of
+			// the one multi-arm loop.
+			ag.res, ag.failed, ag.err = e.runStratifiedAdaptive(ctx, it.req, it.pkey)
 			return
 		}
 		ag.res, ag.err = e.runAdaptive(ctx, it.req, it.pkey, it.r0g)
@@ -1181,10 +1179,7 @@ func (e *Engine) runAdaptive(ctx context.Context, req Request, pkey precisionKey
 		return core.AdaptiveResult{}, err
 	}
 	e.evaluated.Add(1)
-	// Publish the achieved precision for dominance reuse: the interval is
-	// stored confidence-free (half-width ÷ z) so one entry answers asks at
-	// any confidence level.
-	e.precision.Put(pkey, res.Estimate, res.AchievedError/zFor(req.Confidence), res.Rounds, res.Estimate.SampleRows)
+	e.publishPrecision(pkey, res, req.Confidence)
 	return res, nil
 }
 

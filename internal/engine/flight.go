@@ -167,7 +167,7 @@ func (e *Engine) awaitFlight(ctx context.Context, f *flight, it *batchItem) Resu
 func (e *Engine) evaluateRechecked(ctx context.Context, it *batchItem) Result {
 	if it.req.TargetError > 0 {
 		z := zFor(it.req.Confidence)
-		if ent, ok := e.precision.Get(it.pkey, z, it.req.TargetError); ok {
+		if ent, ok := e.precisionHit(it.pkey, z, it.req.TargetError); ok {
 			return Result{
 				Estimate:      ent.est,
 				CacheHit:      true,
@@ -176,7 +176,7 @@ func (e *Engine) evaluateRechecked(ctx context.Context, it *batchItem) Result {
 				Converged:     true,
 			}
 		}
-	} else if est, ok := e.cache.Get(it.key); ok {
+	} else if est, ok := e.cache.Get(it.key, nil); ok {
 		return Result{Estimate: est, CacheHit: true}
 	}
 	return e.evaluateMiss(ctx, it)

@@ -24,13 +24,11 @@
 package engine
 
 import (
-	"container/list"
 	"context"
 	"errors"
 	"fmt"
 	"math"
 	"strings"
-	"sync"
 	"time"
 
 	"samplecf/internal/faults"
@@ -198,71 +196,14 @@ func (e *Engine) breakerClearProbe(k breakerKey) {
 	}
 }
 
-// staleEntry is the last fully-successful outcome for one epoch-free
-// request identity — what the breaker serves while open.
-type staleEntry struct {
-	res Result
-}
-
-// staleCache is a fixed-capacity LRU over epoch-free request identities
-// (cacheKey for fixed/stratified requests, precisionKey for adaptive ones
-// — distinct types, so the key spaces cannot collide in the any-keyed
-// map). It holds the last good estimate per identity for the breaker's
-// stale-while-revalidate path; zero capacity disables it.
-type staleCache struct {
-	mu       sync.Mutex
-	capacity int
-	order    *list.List // front = most recent; values are *staleListEntry
-	items    map[any]*list.Element
-}
-
-type staleListEntry struct {
-	key any
-	ent staleEntry
-}
-
-func newStaleCache(capacity int) *staleCache {
-	if capacity < 0 {
-		capacity = 0
-	}
-	return &staleCache{
-		capacity: capacity,
-		order:    list.New(),
-		items:    make(map[any]*list.Element, capacity),
-	}
-}
-
-func (c *staleCache) Get(key any) (staleEntry, bool) {
-	if c.capacity == 0 {
-		return staleEntry{}, false
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	el, ok := c.items[key]
-	if !ok {
-		return staleEntry{}, false
-	}
-	c.order.MoveToFront(el)
-	return el.Value.(*staleListEntry).ent, true
-}
-
-func (c *staleCache) Put(key any, ent staleEntry) {
-	if c.capacity == 0 {
-		return
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if el, ok := c.items[key]; ok {
-		el.Value.(*staleListEntry).ent = ent
-		c.order.MoveToFront(el)
-		return
-	}
-	c.items[key] = c.order.PushFront(&staleListEntry{key: key, ent: ent})
-	if c.order.Len() > c.capacity {
-		oldest := c.order.Back()
-		c.order.Remove(oldest)
-		delete(c.items, oldest.Value.(*staleListEntry).key)
-	}
+// cloneResult copies a stale-cache result's one mutable field. The stale
+// cache holds the last fully-successful outcome per epoch-free request
+// identity — cacheKey for fixed/stratified requests, precisionKey for
+// adaptive ones, distinct types, so the key spaces cannot collide in its
+// any-keyed map — and the breaker serves it while open.
+func cloneResult(res Result) Result {
+	res.Estimate = cloneEstimate(res.Estimate)
+	return res
 }
 
 // staleKeyFor derives the epoch-free identity of a request: the exact
@@ -296,12 +237,10 @@ func (e *Engine) staleKeyFor(it *batchItem) any {
 // staleResult serves the last good estimate for the item's epoch-free
 // identity, marked Stale, or reports none exists.
 func (e *Engine) staleResult(it *batchItem) (Result, bool) {
-	ent, ok := e.stale.Get(e.staleKeyFor(it))
+	res, ok := e.stale.Get(e.staleKeyFor(it), nil)
 	if !ok {
 		return Result{}, false
 	}
-	res := ent.res
-	res.Estimate = cloneEstimate(res.Estimate)
 	res.Stale = true
 	e.staleServed.Add(1)
 	return res, true
@@ -356,12 +295,12 @@ func (e *Engine) noteOutcome(it *batchItem, res Result) {
 		e.breakerClearProbe(bk)
 	default:
 		e.breakerRecordSuccess(bk)
-		e.stale.Put(e.staleKeyFor(it), staleEntry{res: Result{
-			Estimate:      cloneEstimate(res.Estimate),
+		e.stale.Put(e.staleKeyFor(it), Result{
+			Estimate:      res.Estimate,
 			AchievedError: res.AchievedError,
 			Rounds:        res.Rounds,
 			Converged:     res.Converged,
-		}})
+		}, nil)
 	}
 }
 

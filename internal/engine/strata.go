@@ -1,13 +1,25 @@
-// Stratified estimation through the engine: Request.Strata cuts the key
-// domain into contiguous memcomparable ranges and samples each by its own
-// stream (internal/core's stratified estimators). The engine's contribution
-// is plumbing, not statistics — a per-table-version directory cache (the
-// O(n) stratify scan runs once per (instance, epoch, columns, strata), not
-// per request), boundary resolution that prefers free sources (an existing
-// index's separator keys, then a maintained reservoir's observed keys, then
-// the fixed-seed pilot), and composition with shard scatter: a partitioned
-// table stratifies within each shard, the shard×stratum cells becoming one
-// flat arm set with weights rescaled to the whole table.
+// Sharded and stratified estimation through one arm model. Under the
+// sampling algebra a shard is a stratum whose boundary is a partition
+// rather than a key range: weights N_h/N compose the mean and √(Σ w_h²σ_h²)
+// the interval whichever boundary cut the table. So a request becomes one
+// flat set of core.StratumArm — one arm per key-range stratum of a plain
+// table (Request.Strata), one per shard of a partitioned table when
+// Strata ≤ 1, one per shard×stratum cell otherwise, with cell weights
+// rescaled to whole-table shares. Fixed-r stratified asks run
+// core.EstimateStratified over the arms; every sharded or stratified
+// adaptive ask runs core.AdaptiveEstimateStratified, each arm's extensions
+// under the engine's grow hook (hookArm: deadline, shard fault point,
+// panic trap, retries, and the AllowPartial drop). (Fixed-r asks on a
+// partitioned table without strata take the scatter path of shard.go,
+// whose per-shard cache keeps serving untouched shards.)
+//
+// The engine's other contribution is plumbing, not statistics: a
+// per-table-version directory cache (the O(n) stratify scan runs once per
+// (instance, epoch, columns, strata), not per request; Strata ≤ 1 is a
+// single whole-table stream and builds no directory at all), and boundary
+// resolution that prefers free sources (an existing index's separator
+// keys, then a maintained reservoir's observed keys, then the fixed-seed
+// pilot).
 //
 // Stratified draws are always fresh: the directory indexes physical row
 // positions, so per-stratum streams must read the table itself — the
@@ -15,9 +27,9 @@
 package engine
 
 import (
-	"container/list"
 	"context"
 	"fmt"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -42,59 +54,11 @@ type dirKey struct {
 }
 
 // dirEntry is one directory build, shared once-style by every request that
-// resolves the same key while the entry is resident.
+// resolves the same key while the entry is resident in Engine.strataDirs.
 type dirEntry struct {
 	once sync.Once
 	dir  *sampling.StrataDirectory
 	err  error
-}
-
-// strataCache is a fixed-capacity LRU over dirKey. Zero capacity disables
-// residency: every call gets a fresh entry (and therefore a fresh build).
-type strataCache struct {
-	mu       sync.Mutex
-	capacity int
-	order    *list.List // front = most recent; values are *dirListEntry
-	items    map[dirKey]*list.Element
-}
-
-type dirListEntry struct {
-	key dirKey
-	ent *dirEntry
-}
-
-func newStrataCache(capacity int) *strataCache {
-	if capacity < 0 {
-		capacity = 0
-	}
-	return &strataCache{
-		capacity: capacity,
-		order:    list.New(),
-		items:    make(map[dirKey]*list.Element, capacity),
-	}
-}
-
-// entry returns the resident entry for key, creating (and possibly evicting
-// the least-recently-used) one when absent. The caller runs the build under
-// the entry's once.
-func (c *strataCache) entry(key dirKey) *dirEntry {
-	if c.capacity == 0 {
-		return &dirEntry{}
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if el, ok := c.items[key]; ok {
-		c.order.MoveToFront(el)
-		return el.Value.(*dirListEntry).ent
-	}
-	ent := &dirEntry{}
-	c.items[key] = c.order.PushFront(&dirListEntry{key: key, ent: ent})
-	if c.order.Len() > c.capacity {
-		oldest := c.order.Back()
-		c.order.Remove(oldest)
-		delete(c.items, oldest.Value.(*dirListEntry).key)
-	}
-	return ent
 }
 
 // resolveBounds picks the cheapest available boundary source for one table:
@@ -102,9 +66,6 @@ func (c *strataCache) entry(key dirKey) *dirEntry {
 // maintained reservoir's observed keys at the matching epoch (no storage
 // draw), and only then the fixed-seed pilot sample.
 func (e *Engine) resolveBounds(tab Table, epoch uint64, keyCols []string, strata int) ([][]byte, error) {
-	if strata <= 1 {
-		return nil, nil
-	}
 	if ib, ok := tab.(catalog.IndexBoundaryProvider); ok {
 		if bounds, ok := ib.IndexKeyBoundaries(keyCols, strata); ok {
 			return bounds, nil
@@ -126,19 +87,23 @@ func (e *Engine) resolveBounds(tab Table, epoch uint64, keyCols []string, strata
 	return core.PilotBoundaries(pinnedSourceAt(tab, epoch), tab.Schema(), keyCols, strata)
 }
 
-// tableArms builds the per-stratum arms of one catalog table — the whole
-// table, or one shard of a partitioned one — resolving the directory through
-// the cache and wiring the rows-per-stratum ledger into each arm's draws.
-// The directory scan and the arms' draws read the table's snapshot at
-// epoch when one is published, so both see the row set the directory
-// indexes and read it as records.
+// tableArms builds the arms of one catalog table — the whole table, or one
+// shard of a partitioned one. strata ≤ 1 is one whole-table stream
+// (core.TableArm) and builds no directory; otherwise the directory
+// resolves through the cache. The directory scan and the arms' draws read
+// the table's snapshot at epoch when one is published, so both see the
+// row set the directory indexes and read it as records.
 func (e *Engine) tableArms(tab Table, epoch uint64, keyCols []string, strata int, seed uint64) ([]core.StratumArm, error) {
 	schema := tab.Schema()
 	src := pinnedSourceAt(tab, epoch)
-	ent := e.strataDirs.entry(dirKey{
+	if strata <= 1 {
+		return []core.StratumArm{core.TableArm(src, schema, keyCols, seed)}, nil
+	}
+	ent := &dirEntry{}
+	e.strataDirs.Put(dirKey{
 		inst: tab.InstanceID(), epoch: epoch,
 		columns: strings.Join(keyCols, "\x00"), strata: strata,
-	})
+	}, ent, func(resident *dirEntry) bool { ent = resident; return true })
 	ent.once.Do(func() {
 		e.strataDirBuilds.Add(1)
 		bounds, err := e.resolveBounds(tab, epoch, keyCols, strata)
@@ -151,72 +116,114 @@ func (e *Engine) tableArms(tab Table, epoch uint64, keyCols []string, strata int
 	if ent.err != nil {
 		return nil, ent.err
 	}
-	arms := core.DirectoryArms(src, schema, keyCols, ent.dir, seed)
-	for i := range arms {
-		e.instrumentArm(&arms[i], i)
-	}
-	return arms, nil
+	return core.DirectoryArms(src, schema, keyCols, ent.dir, seed), nil
 }
 
-// instrumentArm threads the rows-per-stratum counter through an arm's draw
-// closures; stratum is the arm's index among its table's non-empty strata.
-func (e *Engine) instrumentArm(arm *core.StratumArm, stratum int) {
-	c := e.strataRows.With(strconv.Itoa(stratum))
-	draw, ext := arm.Draw, arm.Extend
-	arm.Draw = func(r int64) (*value.RecordArena, error) {
-		ar, err := draw(r)
-		if err == nil && ar != nil {
-			c.Add(uint64(ar.Len()))
-		}
-		return ar, err
-	}
-	arm.Extend = func(round int, extra int64) (*value.RecordArena, error) {
-		ar, err := ext(round, extra)
-		if err == nil && ar != nil {
-			c.Add(uint64(ar.Len()))
-		}
-		return ar, err
-	}
+// armOrigin locates one arm of a request: its shard (-1 on an unsharded
+// table) and its index among that table's non-empty strata, which labels
+// the rows-per-stratum ledger.
+type armOrigin struct {
+	shard, stratum int
 }
 
-// requestArms resolves a stratified request's full arm set: per stratum for
-// a plain table, per shard×stratum cell for a partitioned one. Each shard
-// stratifies independently (its own boundaries, directory, and Weyl-derived
-// seed lineage shardSeed→StreamSeed), and cell weights rescale from
-// within-shard shares to whole-table shares, so the flat arm set composes by
-// the same stratified algebra either way.
-func (e *Engine) requestArms(req Request, epoch uint64) ([]core.StratumArm, error) {
-	if sh, ok := req.Table.(catalog.Sharded); ok {
-		ns := sh.NumShards()
-		epochs := sh.EpochVector()
-		counts := make([]int64, ns)
-		var total int64
-		for s := 0; s < ns; s++ {
-			counts[s] = sh.Shard(s).NumRows()
-			total += counts[s]
+// requestArms resolves a request's full arm set: per stratum for a plain
+// table, per shard×stratum cell for a partitioned one (per shard when
+// Strata ≤ 1). Each shard stratifies independently (its own boundaries,
+// directory, and Weyl-derived seed lineage StreamSeed per shard, then per
+// stratum), and cell weights rescale from within-shard shares to
+// whole-table shares, so the flat arm set composes by the same stratified
+// algebra either way.
+func (e *Engine) requestArms(req Request, epoch uint64) ([]core.StratumArm, []armOrigin, error) {
+	sh, ok := req.Table.(catalog.Sharded)
+	if !ok {
+		arms, err := e.tableArms(req.Table, epoch, req.KeyColumns, req.Strata, req.Seed)
+		origins := make([]armOrigin, len(arms))
+		for i := range origins {
+			origins[i] = armOrigin{shard: -1, stratum: i}
 		}
-		if total == 0 {
-			return nil, fmt.Errorf("table %q is empty", req.Table.Name())
+		return arms, origins, err
+	}
+	ns := sh.NumShards()
+	epochs := sh.EpochVector()
+	counts := make([]int64, ns)
+	var total int64
+	for s := 0; s < ns; s++ {
+		counts[s] = sh.Shard(s).NumRows()
+		total += counts[s]
+	}
+	if total == 0 {
+		return nil, nil, fmt.Errorf("table %q is empty", req.Table.Name())
+	}
+	var arms []core.StratumArm
+	var origins []armOrigin
+	for s := 0; s < ns; s++ {
+		if counts[s] == 0 {
+			continue
 		}
-		var arms []core.StratumArm
-		for s := 0; s < ns; s++ {
-			if counts[s] == 0 {
-				continue
-			}
-			sub, err := e.tableArms(sh.Shard(s), epochs[s], req.KeyColumns, req.Strata, shardSeed(req.Seed, s))
-			if err != nil {
-				return nil, fmt.Errorf("shard %d: %w", s, err)
-			}
-			scale := float64(counts[s]) / float64(total)
-			for i := range sub {
-				sub[i].Weight *= scale
+		sub, err := e.tableArms(sh.Shard(s), epochs[s], req.KeyColumns, req.Strata, sampling.StreamSeed(req.Seed, s))
+		if err != nil {
+			return nil, nil, fmt.Errorf("shard %d: %w", s, err)
+		}
+		scale := float64(counts[s]) / float64(total)
+		for i := range sub {
+			sub[i].Weight *= scale
+			if req.Strata <= 1 {
+				sub[i].Label = fmt.Sprintf("shard %d", s)
+			} else {
 				sub[i].Label = fmt.Sprintf("shard %d/%s", s, sub[i].Label)
 			}
-			arms = append(arms, sub...)
+			origins = append(origins, armOrigin{shard: s, stratum: i})
 		}
-		return arms, nil
+		arms = append(arms, sub...)
 	}
-	return e.tableArms(req.Table, epoch, req.KeyColumns, req.Strata, req.Seed)
+	return arms, origins, nil
+}
+
+// hookArm is the engine's grow hook, the one wrapper around an adaptive
+// arm's Extend. Every extension re-checks ctx, so an expired deadline
+// stops the loop at the next round boundary, and adds its rows to rows
+// (the rows-per-stratum ledger; nil for unstratified asks). A shard arm
+// (shard ≥ 0) also passes the engine.scatter[shard] fault point under the
+// shard panic trap, retries retryable failures with the fixed scatter's
+// capped, jittered backoff (retryBackoff), and under AllowPartial marks a
+// persistent failure core.ErrArmDropped: the loop then drops the arm and
+// composes the survivors.
+func (e *Engine) hookArm(ctx context.Context, req Request, arm *core.StratumArm, shard int, rows *obs.Counter) {
+	extend, seed := arm.Extend, arm.Seed
+	attempt := func(round int, extra int64) (ar *value.RecordArena, err error) {
+		if err := ctx.Err(); err != nil {
+			return nil, err
+		}
+		if shard < 0 {
+			return extend(round, extra)
+		}
+		defer e.trapShardPanic(&err)
+		if err := scatterPoint.Check1(uint64(shard)); err != nil {
+			return nil, err
+		}
+		return extend(round, extra)
+	}
+	arm.Extend = func(round int, extra int64) (*value.RecordArena, error) {
+		ar, err := attempt(round, extra)
+		if shard >= 0 && retryable(err) {
+			e.retryBackoff(ctx, seed, func() int {
+				if retryable(err) {
+					return 1
+				}
+				return 0
+			}, func() { ar, err = attempt(round, extra) })
+			if req.AllowPartial && retryable(err) {
+				err = fmt.Errorf("%w: %w", core.ErrArmDropped, err)
+			}
+		}
+		if err != nil {
+			return nil, err
+		}
+		if rows != nil && ar != nil {
+			rows.Add(uint64(ar.Len()))
+		}
+		return ar, nil
+	}
 }
 
 // evaluateStratified runs one fixed-r stratified request on a pool worker:
@@ -226,11 +233,21 @@ func (e *Engine) requestArms(req Request, epoch uint64) ([]core.StratumArm, erro
 func (e *Engine) evaluateStratified(ctx context.Context, it *batchItem) Result {
 	req := it.req
 	e.stratified.Add(1)
-	arms, err := e.requestArms(req, it.key.epoch)
+	arms, origins, err := e.requestArms(req, it.key.epoch)
 	if err != nil {
 		return Result{Err: fmt.Errorf("engine: request %d: stratify: %w", it.idx, err)}
 	}
 	e.strataCountHist.Observe(time.Duration(len(arms)))
+	for i := range arms {
+		draw, rows := arms[i].Draw, e.strataRows.With(strconv.Itoa(origins[i].stratum))
+		arms[i].Draw = func(r int64) (*value.RecordArena, error) {
+			ar, err := draw(r)
+			if err == nil && ar != nil {
+				rows.Add(uint64(ar.Len()))
+			}
+			return ar, err
+		}
+	}
 	r := req.SampleRows
 	if r <= 0 {
 		r = sampling.SampleSize(req.Table.NumRows(), req.Fraction)
@@ -252,38 +269,40 @@ func (e *Engine) evaluateStratified(ctx context.Context, it *batchItem) Result {
 		return Result{Err: fmt.Errorf("engine: request %d: %w", it.idx, err)}
 	}
 	e.evaluated.Add(1)
-	if ev := e.cache.Put(it.key, est); ev > 0 {
+	if ev := e.cache.Put(it.key, est, nil); ev > 0 {
 		e.evictions.Add(uint64(ev))
 	}
 	return Result{Estimate: est}
 }
 
-// runStratifiedAdaptive is the precision-targeted stratified loop: arms from
-// the directory cache, proportional round-0 allocation (doubling as the
-// Neyman pilot), then core.AdaptiveEstimateStratified's dominance-routed
-// refinement. The achieved precision publishes to the dominance cache under
-// the strata-scoped precision key.
-func (e *Engine) runStratifiedAdaptive(ctx context.Context, req Request, pkey precisionKey) (core.AdaptiveResult, error) {
+// runStratifiedAdaptive is the precision-targeted loop of every sharded or
+// stratified ask: the arm set from requestArms, each arm's Extend under the
+// grow hook, proportional round-0 allocation (doubling as the Neyman
+// pilot), then core.AdaptiveEstimateStratified's dominance-routed
+// refinement. A whole outcome publishes to the dominance cache under the
+// request's precision key. A degraded one — shard arms dropped under
+// AllowPartial — returns the failed shards, ascending, and answers only
+// this request: the precision cache must never serve a survivors-only
+// interval as a whole-table result.
+func (e *Engine) runStratifiedAdaptive(ctx context.Context, req Request, pkey precisionKey) (core.AdaptiveResult, []int, error) {
 	pageSize := req.PageSize
 	if pageSize == 0 {
 		pageSize = e.cfg.PageSize
 	}
-	e.stratified.Add(1)
-	arms, err := e.requestArms(req, pkey.epoch)
+	arms, origins, err := e.requestArms(req, pkey.epoch)
 	if err != nil {
-		return core.AdaptiveResult{}, fmt.Errorf("stratify: %w", err)
+		return core.AdaptiveResult{}, nil, fmt.Errorf("stratify: %w", err)
 	}
-	e.strataCountHist.Observe(time.Duration(len(arms)))
-	// Re-check ctx at every arm extension, so an expired deadline stops the
-	// loop at the next round boundary instead of running the budget out.
+	if req.Strata > 0 {
+		e.stratified.Add(1)
+		e.strataCountHist.Observe(time.Duration(len(arms)))
+	}
 	for i := range arms {
-		ext := arms[i].Extend
-		arms[i].Extend = func(round int, extra int64) (*value.RecordArena, error) {
-			if err := ctx.Err(); err != nil {
-				return nil, err
-			}
-			return ext(round, extra)
+		var rows *obs.Counter
+		if req.Strata > 0 {
+			rows = e.strataRows.With(strconv.Itoa(origins[i].stratum))
 		}
+		e.hookArm(ctx, req, &arms[i], origins[i].shard, rows)
 	}
 	target := core.Precision{
 		TargetError:   req.TargetError,
@@ -307,11 +326,20 @@ func (e *Engine) runStratifiedAdaptive(ctx context.Context, req Request, pkey pr
 	e.stageRoundsHist.Observe(time.Since(t0))
 	endRounds.End()
 	if err != nil {
-		return core.AdaptiveResult{}, err
+		return core.AdaptiveResult{}, nil, err
 	}
 	e.adaptiveRounds.Add(uint64(res.Rounds))
 	e.adaptiveRows.Add(uint64(res.Estimate.SampleRows))
 	e.evaluated.Add(1)
-	e.precision.Put(pkey, res.Estimate, res.AchievedError/zFor(req.Confidence), res.Rounds, res.Estimate.SampleRows)
-	return res, nil
+	if len(res.Dropped) == 0 {
+		e.publishPrecision(pkey, res, req.Confidence)
+		return res, nil, nil
+	}
+	e.degradedResults.Add(1)
+	var failed []int
+	for _, i := range res.Dropped {
+		failed = append(failed, origins[i].shard)
+	}
+	slices.Sort(failed)
+	return res, slices.Compact(failed), nil
 }

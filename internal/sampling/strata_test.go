@@ -239,6 +239,17 @@ func TestAllocate(t *testing.T) {
 			t.Errorf("empty stratum %d allocated %d rows", h, got[h])
 		}
 	}
+	// Exact total: remainders go to the largest fractional parts, so the
+	// allocation sums to the total whenever it covers every stratum.
+	got = Allocate(10, []int64{1, 1, 1}, nil)
+	if got[0]+got[1]+got[2] != 10 {
+		t.Errorf("allocation %v does not sum to 10", got)
+	}
+	// A single stratum takes everything.
+	got = Allocate(500, []int64{999}, nil)
+	if got[0] != 500 {
+		t.Errorf("single stratum allocated %d, want 500", got[0])
+	}
 	// Neyman: rows follow N_h·σ_h, not N_h.
 	got = NeymanAllocate(100, []int64{500, 500}, []float64{0.01, 0.03})
 	if got[0] != 25 || got[1] != 75 {
