@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"samplecf/internal/db"
+	"samplecf/internal/sampling"
 	"samplecf/internal/value"
 )
 
@@ -42,6 +43,39 @@ func liveShardedTable(t testing.TB, d *db.Database, name string, shards, rowsPer
 		}
 	}
 	return st
+}
+
+// TestAllocateRows pins the row allocation the scatter planner uses
+// (sampling.Allocate with no scores): proportionality, exact total, the
+// one-row floor for non-empty shards, empty shards get nothing, and the
+// single-shard identity.
+func TestAllocateRows(t *testing.T) {
+	got := sampling.Allocate(100, []int64{300, 100, 0, 600}, nil)
+	if got[2] != 0 {
+		t.Errorf("empty shard allocated %d rows", got[2])
+	}
+	if got[0] != 30 || got[1] != 10 || got[3] != 60 {
+		t.Errorf("allocation %v, want [30 10 0 60]", got)
+	}
+	// Remainders distribute to the largest fractional parts and the total
+	// is exact when r >= non-empty shards.
+	got = sampling.Allocate(10, []int64{1, 1, 1}, nil)
+	if got[0]+got[1]+got[2] != 10 {
+		t.Errorf("allocation %v does not sum to 10", got)
+	}
+	// One-row floor: more shards than rows overshoots rather than leaving
+	// a stratum uncovered.
+	got = sampling.Allocate(2, []int64{10, 10, 10, 10}, nil)
+	for h, r := range got {
+		if r < 1 {
+			t.Errorf("shard %d allocated %d rows; floor is 1", h, r)
+		}
+	}
+	// Single shard takes everything.
+	got = sampling.Allocate(500, []int64{999}, nil)
+	if got[0] != 500 {
+		t.Errorf("single shard allocated %d, want 500", got[0])
+	}
 }
 
 // TestScatterMatchesUnsharded checks the scatter path end to end: a
