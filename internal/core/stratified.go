@@ -4,11 +4,13 @@
 // the domain; stratifying removes the between-strata variance component,
 // and Neyman allocation (n_h ∝ N_h·σ_h) spends the refinement rows where
 // the residual within-stratum spread is. The mechanics live in
-// internal/sampling (boundaries, directory, per-stratum resumable streams);
-// this file owns composition — weights, merged estimates, the composed
-// confidence interval z·√(Σ w_h²σ_h²) — and the precision-targeted loop
-// that extends only the strata whose variance contribution dominates. The
-// engine runs a partitioned table's shards through the same loop, as arms.
+// internal/sampling (boundaries, the Router that splits one uniform stream
+// into per-stratum queues); this file owns the partition (boundaries plus
+// weights estimated by a fixed-seed weight pilot), composition — merged
+// estimates, the composed confidence interval z·√(Σ w_h²σ_h² + pilot
+// term) — and the precision-targeted loop that extends only the strata
+// whose variance contribution dominates. The engine runs a partitioned
+// table's shards through the same loop, as arms.
 //
 // A note on what stratification can and cannot buy: Theorem 1's bound is
 // data-independent — composed across strata at proportional allocation it
@@ -21,6 +23,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"math"
 	"sort"
 	"sync"
 	"time"
@@ -43,7 +46,7 @@ type IndexBoundarySource interface {
 
 // pilotSeed fixes the boundary pilot's draw stream. Boundaries must depend
 // only on (table, key columns, strata count) — never the request seed — so
-// repeated requests agree on one partition and directory caches need no
+// repeated requests agree on one partition and partition caches need no
 // seed in their key.
 const pilotSeed uint64 = 0x70696c6f74 // "pilot"
 
@@ -100,16 +103,37 @@ func EquiDepthFromKeys(keys [][]byte, strata int) [][]byte {
 	return sampling.EquiDepthBoundaries(len(sorted), strata, func(i int) []byte { return sorted[i] })
 }
 
-// StratifyTable buckets src's rows by key range under the index projection:
-// the one O(n) scan a stratified estimation needs (the engine caches the
-// result per table version). Keys are projected out of the source's
-// records; no row is decoded when src has a record store.
-func StratifyTable(src sampling.RowSource, schema *value.Schema, keyCols []string, bounds [][]byte) (*sampling.StrataDirectory, error) {
-	_, project, err := keyProjection(schema, keyCols)
+// weightPilotSeed fixes the weight pilot's stream. It differs from
+// pilotSeed, so the rows that placed the cut points are not the rows that
+// weigh the strata between them.
+const weightPilotSeed uint64 = 0x776569676874 // "weight"
+
+// weightPilotRows is the weight pilot's size m. Each ŵ_h = m_h/m has a
+// standard error of at most 1/(2√m), about half a point, and the pilot
+// routes 8192 rows — a few milliseconds, once per table version.
+const weightPilotRows int64 = 8192
+
+// Partition is one table's stratification, resolved once per table
+// version: the key-range strata, the key projection that places a record,
+// and each stratum's row count in the weight pilot, so ŵ_h = m_h/m. It
+// holds O(H) state and no row positions.
+type Partition struct {
+	strata  *sampling.KeyStrata
+	keyOf   func(buf, rec []byte) []byte
+	counts  []int64
+	keyCols []string
+}
+
+// NewPartition weighs the strata that bounds cut src's key domain into:
+// it routes weightPilotRows rows of a fixed-seed uniform stream and counts
+// them per stratum. Empty bounds are the single stratum, which needs no
+// pilot.
+func NewPartition(src sampling.RowSource, schema *value.Schema, keyCols []string, bounds [][]byte) (*Partition, error) {
+	ks, err := sampling.NewKeyStrata(bounds)
 	if err != nil {
 		return nil, err
 	}
-	ks, err := sampling.NewKeyStrata(bounds)
+	_, project, err := keyProjection(schema, keyCols)
 	if err != nil {
 		return nil, err
 	}
@@ -117,7 +141,66 @@ func StratifyTable(src sampling.RowSource, schema *value.Schema, keyCols []strin
 	if err != nil {
 		return nil, err
 	}
-	return sampling.BuildStrataDirectory(src, schema, ks, proj.AppendKey)
+	p := &Partition{strata: ks, keyOf: proj.AppendKey, counts: []int64{weightPilotRows}, keyCols: keyCols}
+	if ks.NumStrata() == 1 {
+		return p, nil
+	}
+	r, err := sampling.NewRouter(src, schema, ks, p.keyOf, weightPilotSeed)
+	if err != nil {
+		return nil, err
+	}
+	if p.counts, err = r.Tally(weightPilotRows); err != nil {
+		return nil, fmt.Errorf("core: weight pilot: %w", err)
+	}
+	return p, nil
+}
+
+// RoutedArms builds the arms of one partitioned table: one Router at seed
+// feeds one StratumArm per stratum the weight pilot saw. A stratum the
+// pilot never saw is dropped with weight 0. Arm h's seed is
+// sampling.StreamSeed(seed, h); Draw and Extend both take the next rows of
+// its queue, and one call searches at most routeScan(extra, m_h) stream
+// rows. A single-stratum partition is TableArm: no router, no pilot.
+func RoutedArms(src sampling.RowSource, schema *value.Schema, p *Partition, seed uint64) ([]StratumArm, error) {
+	if p.strata.NumStrata() == 1 {
+		return []StratumArm{TableArm(src, schema, p.keyCols, seed)}, nil
+	}
+	r, err := sampling.NewRouter(src, schema, p.strata, p.keyOf, seed)
+	if err != nil {
+		return nil, err
+	}
+	n := src.NumRows()
+	arms := make([]StratumArm, 0, len(p.counts))
+	for h, mh := range p.counts {
+		if mh == 0 {
+			continue
+		}
+		take := func(rows int64) (*value.RecordArena, error) {
+			full := value.NewRecordArena(schema, int(rows))
+			if err := r.ExtendInto(h, full, rows, routeScan(rows, mh)); err != nil {
+				return nil, err
+			}
+			return ProjectSample(full, p.keyCols)
+		}
+		arms = append(arms, StratumArm{
+			Label:  fmt.Sprintf("stratum %d", h),
+			Weight: float64(mh) / float64(weightPilotRows),
+			Pilot:  weightPilotRows,
+			Rows:   max(1, int64(math.Round(float64(n)*float64(mh)/float64(weightPilotRows)))),
+			Seed:   sampling.StreamSeed(seed, h),
+			Draw:   take,
+			Extend: func(_ int, extra int64) (*value.RecordArena, error) { return take(extra) },
+		})
+	}
+	return arms, nil
+}
+
+// routeScan caps the stream rows one take of extra rows may search:
+// 16·⌈extra/ŵ_h⌉, sixteen times the draws the stratum's estimated weight
+// predicts. A stratum much rarer than its pilot count suggests then
+// returns short instead of drawing without bound.
+func routeScan(extra, mh int64) int64 {
+	return 16 * ((extra*weightPilotRows + mh - 1) / mh)
 }
 
 // StratumArm is one stratum's sampling stream in a stratified estimation —
@@ -128,9 +211,18 @@ func StratifyTable(src sampling.RowSource, schema *value.Schema, keyCols []strin
 type StratumArm struct {
 	// Label names the arm in errors ("stratum 3", "shard 1/stratum 2").
 	Label string
-	// Weight is the arm's population share N_h/N.
+	// Weight is the arm's population share N_h/N, or its estimate from a
+	// pilot (Pilot > 0).
 	Weight float64
-	// Rows is the arm's population size N_h.
+	// Pilot is the size m of the uniform pilot that estimated Weight
+	// (ŵ_h = m_h/m, times the shard's exact share on a partitioned
+	// table); 0 when Weight is exact. Arms whose weights one pilot
+	// estimated share a Group, and the composed variance gains that
+	// pilot's term (stats.PilotWeightVariance).
+	Pilot int64
+	Group int
+	// Rows is the arm's population size N_h (estimated as ŵ_h·N when
+	// Pilot > 0).
 	Rows int64
 	// Seed is the arm's stream seed (sampling.StreamSeed of the request
 	// seed); it also decorrelates the arm's bootstrap resamples.
@@ -424,7 +516,7 @@ func AdaptiveEstimateStratified(arms []StratumArm, round0 []int64, target Precis
 		res.Rounds++
 		res.Method = loops[0].method
 		cf = stats.StratifiedMean(strata)
-		half = z * stats.StratifiedSD(strata)
+		half = z * composedSD(loops, strata)
 		if half <= target.TargetError {
 			res.Converged = true
 			break
@@ -452,6 +544,35 @@ func AdaptiveEstimateStratified(arms []StratumArm, round0 []int64, target Precis
 	res.AchievedError = half
 	res.CILo, res.CIHi = clamp01(cf-half), clamp01(cf+half)
 	return res, nil
+}
+
+// composedSD is the stratified mean's SD over the live arms: the strata's
+// independent sampling variance Σ w_h²σ_h², plus each weight pilot's term
+// for the arms whose weights it estimated, over (Σ w_h)². Pilot terms add
+// in the order their groups first appear, so the sum is reproducible.
+// Without pilot arms it is stats.StratifiedSD exactly.
+func composedSD(loops []*armLoop, strata []stats.Stratum) float64 {
+	var wsum, v float64
+	seen := make(map[int]bool)
+	for i, l := range loops {
+		wsum += strata[i].Weight
+		if l.arm.Pilot == 0 || seen[l.arm.Group] {
+			continue
+		}
+		seen[l.arm.Group] = true
+		var group []stats.Stratum
+		for j := i; j < len(loops); j++ {
+			if loops[j].arm.Pilot > 0 && loops[j].arm.Group == l.arm.Group {
+				group = append(group, strata[j])
+			}
+		}
+		v += stats.PilotWeightVariance(group, l.arm.Pilot)
+	}
+	sd := stats.StratifiedSD(strata)
+	if v == 0 || wsum == 0 {
+		return sd
+	}
+	return math.Sqrt(sd*sd + v/(wsum*wsum))
 }
 
 // extension plans one refinement round: choose the arms whose variance
@@ -515,21 +636,10 @@ func extension(loops []*armLoop, remaining int64, capped bool) ([]*armLoop, []in
 	return chosen, extras
 }
 
-// DirectoryArms builds one StratumArm per non-empty stratum of a directory
-// with per-stratum Weyl-derived stream seeds — the engine's entry point to
-// arm construction. Allocations are the caller's concern: align them with
-// the returned arms' Rows (sampling.Allocate over that slice).
-func DirectoryArms(src sampling.RowSource, schema *value.Schema, keyCols []string,
-	dir *sampling.StrataDirectory, seed uint64) []StratumArm {
-	arms, _ := directoryArms(src, schema, keyCols, dir, seed, make([]int64, len(dir.Counts())))
-	return arms
-}
-
 // TableArm is the single arm of an unstratified source: the whole table as
-// one resumable stream at seed, with no directory. Its draws are
-// sampling.UniformWRInto and sampling.ExtendWRInto, which pick exactly the
-// rows a one-stratum directory arm picks (that directory is the identity
-// over [0, n)) without the O(n) scan that builds it.
+// one resumable stream at seed, with no router and no pilot. Its draws are
+// sampling.UniformWRInto and sampling.ExtendWRInto, the unstratified
+// draws, so Strata ≤ 1 stays byte-identical to an unstratified ask.
 func TableArm(src sampling.RowSource, schema *value.Schema, keyCols []string, seed uint64) StratumArm {
 	return StratumArm{
 		Label:  "table",
@@ -553,87 +663,56 @@ func TableArm(src sampling.RowSource, schema *value.Schema, keyCols []string, se
 	}
 }
 
-// directoryArms builds one StratumArm per non-empty stratum of a directory,
-// with per-stratum Weyl-derived stream seeds (stratum 0 keeps the base
-// seed) and both draw shapes wired: the one-shot Draw uses the arm's base
-// stream — so a single identity stratum replays UniformWRInto exactly —
-// and Extend derives round streams like the package-level resumable draws.
-// The returned allocation is aligned with the arms (empty strata dropped).
-func directoryArms(src sampling.RowSource, schema *value.Schema, keyCols []string,
-	dir *sampling.StrataDirectory, seed uint64, alloc []int64) ([]StratumArm, []int64) {
-	counts := dir.Counts()
-	n := dir.NumRows()
-	arms := make([]StratumArm, 0, len(counts))
-	armAlloc := make([]int64, 0, len(counts))
-	for h := range counts {
-		if counts[h] == 0 {
-			continue
-		}
-		h := h
-		armSeed := sampling.StreamSeed(seed, h)
-		arms = append(arms, StratumArm{
-			Label:  fmt.Sprintf("stratum %d", h),
-			Weight: float64(counts[h]) / float64(n),
-			Rows:   counts[h],
-			Seed:   armSeed,
-			Draw: func(r int64) (*value.RecordArena, error) {
-				full := value.NewRecordArena(schema, int(r))
-				if err := dir.WRInto(src, h, r, rng.New(armSeed), full); err != nil {
-					return nil, err
-				}
-				return ProjectSample(full, keyCols)
-			},
-			Extend: func(round int, extra int64) (*value.RecordArena, error) {
-				full := value.NewRecordArena(schema, int(extra))
-				if err := dir.ExtendWRInto(src, h, full, extra, armSeed, round); err != nil {
-					return nil, err
-				}
-				return ProjectSample(full, keyCols)
-			},
-		})
-		armAlloc = append(armAlloc, alloc[h])
-	}
-	return arms, armAlloc
-}
-
 // sampleCFStratified is SampleCF's fixed-size stratified route: resolve
-// boundaries (index-assisted or pilot), build the directory, allocate r
-// proportionally, and run the per-stratum draws.
+// the routed arms, allocate r proportionally, and run the per-stratum
+// draws.
 func sampleCFStratified(src sampling.RowSource, schema *value.Schema, opts Options, r int64) (Estimate, error) {
 	t0 := time.Now()
-	bounds, err := StratumBoundaries(src, schema, opts.KeyColumns, opts.Strata)
+	arms, err := stratifiedArms(src, schema, opts)
 	if err != nil {
 		return Estimate{}, err
 	}
-	dir, err := StratifyTable(src, schema, opts.KeyColumns, bounds)
+	partDur := time.Since(t0)
+	est, err := EstimateStratified(arms, sampling.Allocate(r, ArmRows(arms), nil), opts)
 	if err != nil {
 		return Estimate{}, err
 	}
-	alloc := sampling.Allocate(r, dir.Counts(), nil)
-	arms, armAlloc := directoryArms(src, schema, opts.KeyColumns, dir, opts.Seed, alloc)
-	dirDur := time.Since(t0)
-	est, err := EstimateStratified(arms, armAlloc, opts)
-	if err != nil {
-		return Estimate{}, err
-	}
-	est.SampleDuration += dirDur
+	est.SampleDuration += partDur
 	return est, nil
 }
 
-// sampleCFAdaptiveStratified is SampleCFAdaptive's stratified route: same
-// boundary/directory resolution, proportional round-0 allocation (the
-// pilot), then the Neyman-refined adaptive loop.
-func sampleCFAdaptiveStratified(src sampling.RowSource, schema *value.Schema,
-	opts Options, target Precision, r0 int64) (AdaptiveResult, error) {
+// stratifiedArms resolves SampleCF's stratification of src: boundaries
+// (index-assisted or pilot), the weight pilot, and the routed arms.
+func stratifiedArms(src sampling.RowSource, schema *value.Schema, opts Options) ([]StratumArm, error) {
 	bounds, err := StratumBoundaries(src, schema, opts.KeyColumns, opts.Strata)
 	if err != nil {
-		return AdaptiveResult{}, err
+		return nil, err
 	}
-	dir, err := StratifyTable(src, schema, opts.KeyColumns, bounds)
+	p, err := NewPartition(src, schema, opts.KeyColumns, bounds)
+	if err != nil {
+		return nil, err
+	}
+	return RoutedArms(src, schema, p, opts.Seed)
+}
+
+// ArmRows lists the arms' population sizes, the counts a proportional
+// allocation splits rows by.
+func ArmRows(arms []StratumArm) []int64 {
+	out := make([]int64, len(arms))
+	for i := range arms {
+		out[i] = arms[i].Rows
+	}
+	return out
+}
+
+// sampleCFAdaptiveStratified is SampleCFAdaptive's stratified route: same
+// arm resolution, proportional round-0 allocation (the pilot), then the
+// Neyman-refined adaptive loop.
+func sampleCFAdaptiveStratified(src sampling.RowSource, schema *value.Schema,
+	opts Options, target Precision, r0 int64) (AdaptiveResult, error) {
+	arms, err := stratifiedArms(src, schema, opts)
 	if err != nil {
 		return AdaptiveResult{}, err
 	}
-	alloc := sampling.Allocate(r0, dir.Counts(), nil)
-	arms, round0 := directoryArms(src, schema, opts.KeyColumns, dir, opts.Seed, alloc)
-	return AdaptiveEstimateStratified(arms, round0, target, opts)
+	return AdaptiveEstimateStratified(arms, sampling.Allocate(r0, ArmRows(arms), nil), target, opts)
 }

@@ -3,11 +3,15 @@ package core
 import (
 	"bytes"
 	"fmt"
+	"math"
+	"sort"
 	"sync"
 	"testing"
 
+	"samplecf/internal/obs"
 	"samplecf/internal/rng"
 	"samplecf/internal/sampling"
+	"samplecf/internal/stats"
 	"samplecf/internal/value"
 )
 
@@ -180,24 +184,119 @@ func TestStratumBoundariesPrefersIndex(t *testing.T) {
 	}
 }
 
-// TestStratifyTablePartitions checks the directory covers the table exactly
-// and weights derived from it sum to one.
+// TestStratifyTablePartitions checks the weight pilot partitions the
+// table: its tallies cover all m pilot rows, the weights sum to one, the
+// arms' estimated sizes cover the table, and the pilot is deterministic.
 func TestStratifyTablePartitions(t *testing.T) {
 	tab := adaptiveTable(t, "zipf", 6000, 29)
 	bounds, err := StratumBoundaries(tab, tab.Schema(), nil, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
-	dir, err := StratifyTable(tab, tab.Schema(), nil, bounds)
+	p, err := NewPartition(tab, tab.Schema(), nil, bounds)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var total int64
-	for _, c := range dir.Counts() {
-		total += c
+	var pilot int64
+	for _, c := range p.counts {
+		pilot += c
 	}
-	if total != tab.NumRows() {
-		t.Fatalf("directory covers %d of %d rows", total, tab.NumRows())
+	if pilot != weightPilotRows {
+		t.Fatalf("pilot tallies %d of %d rows", pilot, weightPilotRows)
+	}
+	arms, err := RoutedArms(tab, tab.Schema(), p, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var rows int64
+	var wsum float64
+	for _, a := range arms {
+		rows += a.Rows
+		wsum += a.Weight
+		if a.Pilot != weightPilotRows {
+			t.Errorf("%s: pilot size %d, want %d", a.Label, a.Pilot, weightPilotRows)
+		}
+	}
+	if d := rows - tab.NumRows(); d < -int64(len(arms)) || d > int64(len(arms)) || math.Abs(wsum-1) > 1e-12 {
+		t.Fatalf("arms cover %d of %d rows, weights sum to %v", rows, tab.NumRows(), wsum)
+	}
+	again, err := NewPartition(tab, tab.Schema(), nil, bounds)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fmt.Sprint(again.counts) != fmt.Sprint(p.counts) {
+		t.Fatalf("weight pilot not deterministic: %v vs %v", again.counts, p.counts)
+	}
+}
+
+// TestRoutedNearEmptyStratumAnswers stratifies by index-provided cut
+// points that leave one stratum a single key value (about 0.1% of rows):
+// the weight pilot still sees it, every take searches at most its cap of
+// stream rows, and the stratified adaptive ask answers.
+func TestRoutedNearEmptyStratumAnswers(t *testing.T) {
+	tab := adaptiveTable(t, "uniform", 20000, 31)
+	schema := tab.Schema()
+	keys := make([][]byte, tab.NumRows())
+	for i := range keys {
+		row, err := tab.Row(int64(i))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if keys[i], err = value.EncodeKey(schema, row, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	sort.Slice(keys, func(i, j int) bool { return bytes.Compare(keys[i], keys[j]) < 0 })
+	lo := keys[len(keys)/2]
+	hi := lo
+	for _, k := range keys[len(keys)/2:] {
+		if !bytes.Equal(k, lo) {
+			hi = k
+			break
+		}
+	}
+	src := &boundarySource{RowSource: tab, bounds: [][]byte{lo, hi}}
+	bounds, err := StratumBoundaries(src, schema, nil, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := NewPartition(tab, schema, nil, bounds)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if p.counts[1] == 0 || p.counts[1] > 40 {
+		t.Fatalf("near-empty stratum drew %d pilot rows, want a handful", p.counts[1])
+	}
+	arms, err := RoutedArms(tab, schema, p, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var mu sync.Mutex
+	var caps int64
+	for i := range arms {
+		ext, mh := arms[i].Extend, int64(math.Round(arms[i].Weight*float64(weightPilotRows)))
+		arms[i].Extend = func(round int, extra int64) (*value.RecordArena, error) {
+			mu.Lock()
+			caps += routeScan(extra, mh)
+			mu.Unlock()
+			return ext(round, extra)
+		}
+	}
+	drawn := func() float64 {
+		v, _ := obs.Default().Value("samplecf_sampling_rows_drawn_total")
+		return v
+	}
+	before := drawn()
+	res, err := AdaptiveEstimateStratified(arms, sampling.Allocate(256, ArmRows(arms), nil),
+		Precision{TargetError: 0.03}, Options{Codec: mustCodec(t, "rle"), Seed: 4})
+	if err != nil {
+		t.Fatalf("ask with a near-empty stratum failed: %v", err)
+	}
+	if got := int64(drawn() - before); got > caps {
+		t.Errorf("stream drew %d rows, the takes' caps allow %d", got, caps)
+	}
+	if res.Estimate.CF <= 0 || res.Estimate.CF >= 1 {
+		t.Errorf("CF %v outside (0,1)", res.Estimate.CF)
 	}
 }
 
@@ -245,11 +344,14 @@ func TestStratifiedAdaptiveBudgetHolds(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		dir, err := StratifyTable(tab, tab.Schema(), []string{"a"}, bounds)
+		p, err := NewPartition(tab, tab.Schema(), []string{"a"}, bounds)
 		if err != nil {
 			t.Fatal(err)
 		}
-		arms := DirectoryArms(tab, tab.Schema(), []string{"a"}, dir, uint64(trial))
+		arms, err := RoutedArms(tab, tab.Schema(), p, uint64(trial))
+		if err != nil {
+			t.Fatal(err)
+		}
 		var mu sync.Mutex
 		var drawn, firstRound int64
 		for i := range arms {
@@ -267,11 +369,7 @@ func TestStratifiedAdaptiveBudgetHolds(t *testing.T) {
 				return ext(round, extra)
 			}
 		}
-		counts := make([]int64, len(arms))
-		for i := range arms {
-			counts[i] = arms[i].Rows
-		}
-		res, err := AdaptiveEstimateStratified(arms, sampling.Allocate(r0, counts, nil),
+		res, err := AdaptiveEstimateStratified(arms, sampling.Allocate(r0, ArmRows(arms), nil),
 			Precision{TargetError: 1e-4, MaxSampleRows: budget},
 			Options{Codec: mustCodec(t, codec), Seed: uint64(trial)})
 		if err != nil {
@@ -287,6 +385,33 @@ func TestStratifiedAdaptiveBudgetHolds(t *testing.T) {
 		}
 		if res.Estimate.SampleRows != drawn {
 			t.Errorf("trial %d: estimate covers %d rows, arms drew %d", trial, res.Estimate.SampleRows, drawn)
+		}
+	}
+}
+
+// TestComposedSDReproducible pins that the pilot terms of several groups
+// (shards) add in one fixed order: float addition is not associative, so
+// an order that changed between rounds or runs would change
+// AchievedError in its last bits. The groups' terms here are one large
+// and several just under half an ulp of it, which only an order-stable
+// sum reproduces.
+func TestComposedSDReproducible(t *testing.T) {
+	var loops []*armLoop
+	var strata []stats.Stratum
+	add := func(group int, weight, mean float64) {
+		loops = append(loops, &armLoop{arm: &StratumArm{Weight: weight, Pilot: 1, Group: group}})
+		strata = append(strata, stats.Stratum{Weight: weight, Mean: mean})
+	}
+	add(0, 0.5, 0)
+	add(0, 0.5, 1)
+	for g := 1; g <= 6; g++ {
+		add(g, 0.25, 0)
+		add(g, 0.25, 1.6e-8)
+	}
+	want := composedSD(loops, strata)
+	for i := 0; i < 200; i++ {
+		if got := composedSD(loops, strata); got != want {
+			t.Fatalf("call %d: composed SD %v, first call %v", i, got, want)
 		}
 	}
 }

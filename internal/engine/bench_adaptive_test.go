@@ -7,6 +7,7 @@ import (
 
 	"samplecf/internal/core"
 	"samplecf/internal/distrib"
+	"samplecf/internal/obs"
 	"samplecf/internal/value"
 	"samplecf/internal/workload"
 )
@@ -133,8 +134,12 @@ func BenchmarkAdaptiveVsFixed(b *testing.B) {
 // comparison metric is rows-to-CI, with err_pts kept for honesty.
 //
 // Rows are re-spent every iteration (result and precision caches
-// disabled, seeds vary); only the strata directory is cached, matching
-// production where the O(n) stratify scan runs once per table version.
+// disabled, seeds vary); only the partition (boundaries and pilot
+// weights) is cached, matching production where it is built once per
+// table version, and it is built before the timer starts. rows/est counts
+// the rows the estimate kept; drawn/est the rows the sampler drew for
+// them — for the stratified arm, the routed stream, whose rows landing in
+// strata the allocation did not extend are drawn but not kept.
 func BenchmarkAdaptiveStratifiedZipf(b *testing.B) {
 	const n = 500_000
 	const requirement = 0.02
@@ -148,14 +153,22 @@ func BenchmarkAdaptiveStratifiedZipf(b *testing.B) {
 	run := func(b *testing.B, strata int) {
 		e := New(Config{CacheEntries: -1})
 		defer e.Close()
-		e.strataDirs = newLRU[dirKey, *dirEntry](4, nil) // keep only the directory resident
-		var rows, errPts, rounds float64
-		for i := 0; i < b.N; i++ {
-			res := e.Estimate(context.Background(), Request{
+		e.partitions = newLRU[partKey, *partEntry](4, nil) // keep only the partition resident
+		ask := func(seed uint64) Result {
+			return e.Estimate(context.Background(), Request{
 				Table: tab, KeyColumns: []string{"a"}, Codec: codec(b, "rle"),
-				TargetError: requirement, Strata: strata, Seed: uint64(i),
+				TargetError: requirement, Strata: strata, Seed: seed,
 				SampleRows: 64, // round-0 seed, small enough that neither arm stops on the floor
 			})
+		}
+		if res := ask(math.MaxUint64); res.Err != nil {
+			b.Fatal(res.Err)
+		}
+		drawnBefore := rowsDrawn(b)
+		b.ResetTimer()
+		var rows, errPts, rounds float64
+		for i := 0; i < b.N; i++ {
+			res := ask(uint64(i))
 			if res.Err != nil {
 				b.Fatal(res.Err)
 			}
@@ -167,11 +180,22 @@ func BenchmarkAdaptiveStratifiedZipf(b *testing.B) {
 			rounds += float64(res.Rounds)
 		}
 		b.ReportMetric(rows/float64(b.N), "rows/est")
+		b.ReportMetric((rowsDrawn(b)-drawnBefore)/float64(b.N), "drawn/est")
 		b.ReportMetric(errPts/float64(b.N), "err_pts")
 		b.ReportMetric(rounds/float64(b.N), "rounds/est")
 	}
 	b.Run("zipf-uniform-2pct", func(b *testing.B) { run(b, 0) })
 	b.Run("zipf-strata16-2pct", func(b *testing.B) { run(b, 16) })
+}
+
+// rowsDrawn reads the process-wide rows-drawn counter of the sampling
+// package: every uniform draw and every routed stream row.
+func rowsDrawn(b *testing.B) float64 {
+	v, ok := obs.Default().Value("samplecf_sampling_rows_drawn_total")
+	if !ok {
+		b.Fatal("rows-drawn counter not registered")
+	}
+	return v
 }
 
 // benchZipfTable is the stratification workload: one CHAR(64) key column

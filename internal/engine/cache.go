@@ -45,8 +45,8 @@ type cacheKey struct {
 const wholeTable = -1
 
 // lru is a fixed-capacity least-recently-used map, the one eviction
-// structure behind the engine's result, precision, strata-directory and
-// stale caches. A zero capacity disables it: Get always misses and Put
+// structure behind the engine's result, precision, partition and stale
+// caches. A zero capacity disables it: Get always misses and Put
 // stores nothing. When clone is set, values are copied on the way in and
 // out, so no caller shares a resident value.
 type lru[K comparable, V any] struct {

@@ -304,22 +304,41 @@ func TestChaosAdaptiveDegraded(t *testing.T) {
 
 // TestChaosAdaptiveTransientHealsByRetry proves the grow hook's retry:
 // a fault that fires only on shard 1's first extension is retried with
-// backoff, and the adaptive sharded ask converges undegraded.
+// backoff, and the adaptive sharded ask converges undegraded — to the
+// fault-free answer, whether each shard is one arm (Strata 0) or routes
+// its stream to shard×stratum arms (Strata 4): a failed attempt takes no
+// routed rows, so the retry takes the rows the first attempt would have.
 func TestChaosAdaptiveTransientHealsByRetry(t *testing.T) {
-	armChaos(t, "engine.scatter[1]:err@1", 1)
-	d := db.New(0)
-	st := liveShardedTable(t, d, "t", 3, 1000)
-	e := chaosEngine(t, Config{Workers: 2})
-	res := e.Estimate(context.Background(), Request{Table: st, Codec: mustCodec(t),
-		KeyColumns: []string{"city"}, Seed: 11, TargetError: 0.05})
-	if res.Err != nil {
-		t.Fatalf("transient fault was not healed: %v", res.Err)
-	}
-	if res.Degraded || !res.Converged {
-		t.Errorf("Degraded=%v Converged=%v, want a converged whole answer", res.Degraded, res.Converged)
-	}
-	if got := e.Stats().ShardRetries; got == 0 {
-		t.Error("retry ledger empty despite a healed transient fault")
+	for _, strata := range []int{0, 4} {
+		t.Run(fmt.Sprintf("strata=%d", strata), func(t *testing.T) {
+			d := db.New(0)
+			st := liveShardedTable(t, d, "t", 3, 1000)
+			req := Request{Table: st, Codec: mustCodec(t), KeyColumns: []string{"city"},
+				Seed: 11, TargetError: 0.05, Strata: strata}
+			want := chaosEngine(t, Config{Workers: 2}).Estimate(context.Background(), req)
+			if want.Err != nil {
+				t.Fatal(want.Err)
+			}
+
+			armChaos(t, "engine.scatter[1]:err@1", 1)
+			e := chaosEngine(t, Config{Workers: 2})
+			res := e.Estimate(context.Background(), req)
+			if res.Err != nil {
+				t.Fatalf("transient fault was not healed: %v", res.Err)
+			}
+			if res.Degraded || !res.Converged {
+				t.Errorf("Degraded=%v Converged=%v, want a converged whole answer", res.Degraded, res.Converged)
+			}
+			if got := e.Stats().ShardRetries; got == 0 {
+				t.Error("retry ledger empty despite a healed transient fault")
+			}
+			if res.Estimate.CF != want.Estimate.CF || res.Estimate.SampleRows != want.Estimate.SampleRows ||
+				res.AchievedError != want.AchievedError || res.Rounds != want.Rounds {
+				t.Errorf("healed answer CF %v ± %v (%d rows, %d rounds) != fault-free CF %v ± %v (%d rows, %d rounds)",
+					res.Estimate.CF, res.AchievedError, res.Estimate.SampleRows, res.Rounds,
+					want.Estimate.CF, want.AchievedError, want.Estimate.SampleRows, want.Rounds)
+			}
+		})
 	}
 }
 

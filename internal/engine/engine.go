@@ -168,8 +168,9 @@ type Request struct {
 	// Strata switches the request to stratified sampling: the key domain
 	// splits into up to Strata contiguous ranges (boundaries from an
 	// existing index's separator keys, the maintained reservoir's observed
-	// keys, or a fixed-seed pilot — in that order), each range sampled by
-	// its own stream, composed by stratified mean and variance. 0 disables;
+	// keys, or a fixed-seed pilot — in that order), each range fed by its
+	// own queue of one routed uniform stream and weighted by a fixed-seed
+	// weight pilot, composed by stratified mean and variance. 0 disables;
 	// 1 is the degenerate single stratum. Stratified draws are always fresh
 	// (the maintained sample serves only boundary resolution), and a
 	// partitioned table stratifies within each shard.
@@ -279,8 +280,10 @@ type Stats struct {
 	// ledger inside those scatters (a fully-hit scatter is also one Hits).
 	ShardScatters, ShardCacheHits, ShardCacheMisses uint64
 	// StratifiedEstimates counts stratified estimates computed (fixed and
-	// adaptive; cache hits excluded); StrataDirBuilds counts strata-directory
-	// builds — the O(n) stratify scans the directory cache did not absorb.
+	// adaptive; cache hits excluded); StrataDirBuilds counts partition
+	// builds — boundary plus weight pilots the partition cache did not
+	// absorb. (The name predates routing, which replaced the strata
+	// directory; the /stats field keeps it.)
 	StratifiedEstimates, StrataDirBuilds uint64
 	// CoalescedWaits counts results served by waiting on a concurrent
 	// identical request's in-flight computation (flight.go) instead of
@@ -307,7 +310,7 @@ type Engine struct {
 	cfg        Config
 	cache      *lru[cacheKey, core.Estimate]
 	precision  *lru[precisionKey, precisionEntry]
-	strataDirs *lru[dirKey, *dirEntry]
+	partitions *lru[partKey, *partEntry]
 	stale      *lru[any, Result]
 	flights    flightGroup
 	registry   *obs.Registry
@@ -344,7 +347,7 @@ func New(cfg Config) *Engine {
 		cfg:        cfg,
 		cache:      newLRU[cacheKey](cfg.CacheEntries, cloneEstimate),
 		precision:  newLRU[precisionKey](cfg.CacheEntries, clonePrecision),
-		strataDirs: newLRU[dirKey, *dirEntry](cfg.CacheEntries, nil),
+		partitions: newLRU[partKey, *partEntry](cfg.CacheEntries, nil),
 		stale:      newLRU[any](cfg.CacheEntries, cloneResult),
 		breakers:   make(map[breakerKey]*breaker),
 		registry:   reg,
@@ -652,8 +655,8 @@ func (e *Engine) WhatIf(ctx context.Context, reqs []Request) []Result {
 			// Stratified fixed-r request: no sample/prep dedup (draws are
 			// per-stratum streams) and no per-shard scatter cache — the
 			// merged estimate caches under the request-level key, and the
-			// expensive shared artifact (the strata directory) has its own
-			// per-table-version cache.
+			// shared artifact (the partition: boundaries and weights) has
+			// its own per-table-version cache.
 			key := cacheKey{
 				inst:     req.Table.InstanceID(),
 				epoch:    epoch,

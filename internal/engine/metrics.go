@@ -134,7 +134,7 @@ func newMetrics(r *obs.Registry) metrics {
 		shardHits:       r.Counter(MetricShardHits, "Per-shard result-cache hits within scattered requests."),
 		shardMisses:     r.Counter(MetricShardMisses, "Per-shard result-cache misses within scattered requests."),
 		stratified:      r.Counter(MetricStratified, "Stratified estimates computed, fixed and adaptive (cache hits excluded)."),
-		strataDirBuilds: r.Counter(MetricStrataDirBuilds, "Strata-directory builds (stratify scans the directory cache did not absorb)."),
+		strataDirBuilds: r.Counter(MetricStrataDirBuilds, "Stratification partition builds: boundary and weight pilots the partition cache did not absorb."),
 		coalescedWaits:  r.Counter(MetricCoalescedWaits, "Results served by waiting on a concurrent identical request's in-flight computation."),
 		panicsRecovered: r.Counter(MetricPanicsRecovered, "Panics converted to per-item or per-shard errors by the engine's isolation traps."),
 		shardRetries:    r.Counter(MetricShardRetries, "Failed shard work units re-run with backoff."),

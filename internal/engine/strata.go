@@ -13,17 +13,21 @@
 // partitioned table without strata take the scatter path of shard.go,
 // whose per-shard cache keeps serving untouched shards.)
 //
-// The engine's other contribution is plumbing, not statistics: a
-// per-table-version directory cache (the O(n) stratify scan runs once per
-// (instance, epoch, columns, strata), not per request; Strata ≤ 1 is a
-// single whole-table stream and builds no directory at all), and boundary
-// resolution that prefers free sources (an existing index's separator
-// keys, then a maintained reservoir's observed keys, then the fixed-seed
-// pilot).
+// A stratified table's arms route one uniform stream: core.RoutedArms
+// draws rows of the whole table (or shard) at the request's seed and
+// queues each under the stratum its key falls in, so no stratified ask
+// scans the table. What they share across requests is the partition —
+// boundaries plus weights ŵ_h = m_h/m from a fixed-seed weight pilot of
+// m = 8192 rows, O(H) bytes — cached per (instance, epoch, columns,
+// strata); Strata ≤ 1 is a single whole-table stream and resolves no
+// partition at all. Boundary resolution prefers free sources (an existing
+// index's separator keys, then a maintained reservoir's observed keys,
+// then the fixed-seed pilot), and a partition build runs under a draw
+// span.
 //
-// Stratified draws are always fresh: the directory indexes physical row
-// positions, so per-stratum streams must read the table itself — the
-// maintained-sample fast path serves only boundary resolution here.
+// Stratified draws are always fresh: the routed stream reads the table
+// itself — the maintained-sample fast path serves only boundary
+// resolution here.
 package engine
 
 import (
@@ -42,22 +46,24 @@ import (
 	"samplecf/internal/value"
 )
 
-// dirKey identifies one cached strata directory: the table version plus
+// partKey identifies one cached partition: the table version plus
 // everything the partition depends on. No seed — boundaries derive from the
-// index walk, the reservoir snapshot, or the fixed pilot seed, never the
-// request seed, so every request at one table version shares one partition.
-type dirKey struct {
+// index walk, the reservoir snapshot, or the fixed pilot seed, and weights
+// from the fixed weight-pilot seed, never the request seed, so every
+// request at one table version shares one partition.
+type partKey struct {
 	inst    uint64
 	epoch   uint64
 	columns string // "\x00"-joined key column names
 	strata  int
 }
 
-// dirEntry is one directory build, shared once-style by every request that
-// resolves the same key while the entry is resident in Engine.strataDirs.
-type dirEntry struct {
+// partEntry is one partition build (boundaries plus weight pilot), shared
+// once-style by every request that resolves the same key while the entry
+// is resident in Engine.partitions.
+type partEntry struct {
 	once sync.Once
-	dir  *sampling.StrataDirectory
+	part *core.Partition
 	err  error
 }
 
@@ -89,34 +95,37 @@ func (e *Engine) resolveBounds(tab Table, epoch uint64, keyCols []string, strata
 
 // tableArms builds the arms of one catalog table — the whole table, or one
 // shard of a partitioned one. strata ≤ 1 is one whole-table stream
-// (core.TableArm) and builds no directory; otherwise the directory
-// resolves through the cache. The directory scan and the arms' draws read
-// the table's snapshot at epoch when one is published, so both see the
-// row set the directory indexes and read it as records.
-func (e *Engine) tableArms(tab Table, epoch uint64, keyCols []string, strata int, seed uint64) ([]core.StratumArm, error) {
+// (core.TableArm) and resolves no partition; otherwise the partition
+// (boundaries and pilot weights) resolves through the cache, under a draw
+// span when it is built, and the arms route one stream seeded by seed.
+// The pilots and the arms' draws read the table's snapshot at epoch when
+// one is published, so all of them see one row set and read it as records.
+func (e *Engine) tableArms(ctx context.Context, tab Table, epoch uint64, keyCols []string, strata int, seed uint64) ([]core.StratumArm, error) {
 	schema := tab.Schema()
 	src := pinnedSourceAt(tab, epoch)
 	if strata <= 1 {
 		return []core.StratumArm{core.TableArm(src, schema, keyCols, seed)}, nil
 	}
-	ent := &dirEntry{}
-	e.strataDirs.Put(dirKey{
+	ent := &partEntry{}
+	e.partitions.Put(partKey{
 		inst: tab.InstanceID(), epoch: epoch,
 		columns: strings.Join(keyCols, "\x00"), strata: strata,
-	}, ent, func(resident *dirEntry) bool { ent = resident; return true })
+	}, ent, func(resident *partEntry) bool { ent = resident; return true })
 	ent.once.Do(func() {
+		_, end := obs.StartSpan(ctx, stageDraw)
+		defer end.End()
 		e.strataDirBuilds.Add(1)
 		bounds, err := e.resolveBounds(tab, epoch, keyCols, strata)
 		if err != nil {
 			ent.err = err
 			return
 		}
-		ent.dir, ent.err = core.StratifyTable(src, schema, keyCols, bounds)
+		ent.part, ent.err = core.NewPartition(src, schema, keyCols, bounds)
 	})
 	if ent.err != nil {
 		return nil, ent.err
 	}
-	return core.DirectoryArms(src, schema, keyCols, ent.dir, seed), nil
+	return core.RoutedArms(src, schema, ent.part, seed)
 }
 
 // armOrigin locates one arm of a request: its shard (-1 on an unsharded
@@ -129,14 +138,15 @@ type armOrigin struct {
 // requestArms resolves a request's full arm set: per stratum for a plain
 // table, per shard×stratum cell for a partitioned one (per shard when
 // Strata ≤ 1). Each shard stratifies independently (its own boundaries,
-// directory, and Weyl-derived seed lineage StreamSeed per shard, then per
-// stratum), and cell weights rescale from within-shard shares to
-// whole-table shares, so the flat arm set composes by the same stratified
-// algebra either way.
-func (e *Engine) requestArms(req Request, epoch uint64) ([]core.StratumArm, []armOrigin, error) {
+// weight pilot, and routed stream at StreamSeed of the request seed), and
+// cell weights rescale from within-shard shares to whole-table shares —
+// shard shares are exact, so each shard's pilot term scales by its
+// squared share (one pilot Group per shard) — and the flat arm set
+// composes by the same stratified algebra either way.
+func (e *Engine) requestArms(ctx context.Context, req Request, epoch uint64) ([]core.StratumArm, []armOrigin, error) {
 	sh, ok := req.Table.(catalog.Sharded)
 	if !ok {
-		arms, err := e.tableArms(req.Table, epoch, req.KeyColumns, req.Strata, req.Seed)
+		arms, err := e.tableArms(ctx, req.Table, epoch, req.KeyColumns, req.Strata, req.Seed)
 		origins := make([]armOrigin, len(arms))
 		for i := range origins {
 			origins[i] = armOrigin{shard: -1, stratum: i}
@@ -160,13 +170,14 @@ func (e *Engine) requestArms(req Request, epoch uint64) ([]core.StratumArm, []ar
 		if counts[s] == 0 {
 			continue
 		}
-		sub, err := e.tableArms(sh.Shard(s), epochs[s], req.KeyColumns, req.Strata, sampling.StreamSeed(req.Seed, s))
+		sub, err := e.tableArms(ctx, sh.Shard(s), epochs[s], req.KeyColumns, req.Strata, sampling.StreamSeed(req.Seed, s))
 		if err != nil {
 			return nil, nil, fmt.Errorf("shard %d: %w", s, err)
 		}
 		scale := float64(counts[s]) / float64(total)
 		for i := range sub {
 			sub[i].Weight *= scale
+			sub[i].Group = s
 			if req.Strata <= 1 {
 				sub[i].Label = fmt.Sprintf("shard %d", s)
 			} else {
@@ -233,7 +244,7 @@ func (e *Engine) hookArm(ctx context.Context, req Request, arm *core.StratumArm,
 func (e *Engine) evaluateStratified(ctx context.Context, it *batchItem) Result {
 	req := it.req
 	e.stratified.Add(1)
-	arms, origins, err := e.requestArms(req, it.key.epoch)
+	arms, origins, err := e.requestArms(ctx, req, it.key.epoch)
 	if err != nil {
 		return Result{Err: fmt.Errorf("engine: request %d: stratify: %w", it.idx, err)}
 	}
@@ -252,11 +263,7 @@ func (e *Engine) evaluateStratified(ctx context.Context, it *batchItem) Result {
 	if r <= 0 {
 		r = sampling.SampleSize(req.Table.NumRows(), req.Fraction)
 	}
-	counts := make([]int64, len(arms))
-	for i := range arms {
-		counts[i] = arms[i].Rows
-	}
-	alloc := sampling.Allocate(r, counts, nil)
+	alloc := sampling.Allocate(r, core.ArmRows(arms), nil)
 	e.samplesDrawn.Add(1)
 	_, end := obs.StartSpan(ctx, stageCompress)
 	t0 := time.Now()
@@ -289,7 +296,7 @@ func (e *Engine) runStratifiedAdaptive(ctx context.Context, req Request, pkey pr
 	if pageSize == 0 {
 		pageSize = e.cfg.PageSize
 	}
-	arms, origins, err := e.requestArms(req, pkey.epoch)
+	arms, origins, err := e.requestArms(ctx, req, pkey.epoch)
 	if err != nil {
 		return core.AdaptiveResult{}, nil, fmt.Errorf("stratify: %w", err)
 	}
@@ -312,11 +319,7 @@ func (e *Engine) runStratifiedAdaptive(ctx context.Context, req Request, pkey pr
 	if target.MaxSampleRows == 0 {
 		target.MaxSampleRows = req.Table.NumRows()
 	}
-	counts := make([]int64, len(arms))
-	for i := range arms {
-		counts[i] = arms[i].Rows
-	}
-	round0 := sampling.Allocate(initialAdaptiveRows(req), counts, nil)
+	round0 := sampling.Allocate(initialAdaptiveRows(req), core.ArmRows(arms), nil)
 	e.samplesDrawn.Add(1)
 	_, endRounds := obs.StartSpan(ctx, stageRounds)
 	t0 := time.Now()

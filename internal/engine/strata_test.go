@@ -2,9 +2,14 @@ package engine
 
 import (
 	"context"
+	"fmt"
+	"reflect"
+	"runtime"
 	"strings"
+	"sync"
 	"testing"
 
+	"samplecf/internal/core"
 	"samplecf/internal/db"
 	"samplecf/internal/obs"
 )
@@ -41,7 +46,7 @@ func TestStratifiedSingleStratumMatchesPlain(t *testing.T) {
 
 // TestStratifiedResultCached checks stratified results land in the LRU under
 // their own strata-scoped key: a repeat hits, a different strata count
-// misses, and the directory cache absorbs the repeat stratify scans.
+// misses, and the partition cache absorbs the repeat partition builds.
 func TestStratifiedResultCached(t *testing.T) {
 	tab := testTable(t, "stratcache", 6000, 3)
 	e := New(Config{Workers: 2})
@@ -76,7 +81,7 @@ func TestStratifiedResultCached(t *testing.T) {
 	if st.StratifiedEstimates != 2 {
 		t.Errorf("StratifiedEstimates = %d, want 2", st.StratifiedEstimates)
 	}
-	// One directory per strata count; the repeat reused the first build.
+	// One partition per strata count; the repeat reused the first build.
 	if st.StrataDirBuilds != 2 {
 		t.Errorf("StrataDirBuilds = %d, want 2", st.StrataDirBuilds)
 	}
@@ -170,7 +175,7 @@ func TestShardedStratifiedComposes(t *testing.T) {
 }
 
 // TestStratifiedObsInstruments checks the stratified ledgers move: the
-// estimates counter, the directory-build counter, the strata-count
+// estimates counter, the partition-build counter, the strata-count
 // histogram, and at least one rows-per-stratum child.
 func TestStratifiedObsInstruments(t *testing.T) {
 	reg := obs.NewRegistry()
@@ -214,5 +219,76 @@ func TestStratifiedValidation(t *testing.T) {
 	})
 	if res.Err == nil || !strings.Contains(res.Err.Error(), "strata") {
 		t.Fatalf("negative strata accepted: %v", res.Err)
+	}
+}
+
+// TestRoutedStratifiedDeterministic pins that routed stratified draws are a
+// function of the request alone: a stratified adaptive ask returns the same
+// Estimate, Rounds and AchievedError at GOMAXPROCS 1 and, repeated, at 4
+// (over several seeds, so that an order-dependent float sum shows), and
+// under 16 concurrent identical asks — each on its own engine, so no
+// flight coalesces them and every ask builds its own partition and
+// routers over the shared table. Run under -race it also checks the
+// routers' locking.
+func TestRoutedStratifiedDeterministic(t *testing.T) {
+	d := db.New(0)
+	tables := map[string]Table{
+		"plain":   testTable(t, "routed", 20000, 41),
+		"sharded": liveShardedTable(t, d, "routedshard", 3, 3000),
+	}
+	for name, tab := range tables {
+		t.Run(name, func(t *testing.T) {
+			ask := func(seed uint64) Result {
+				e := New(Config{CacheEntries: -1})
+				defer e.Close()
+				res := e.Estimate(context.Background(), Request{Table: tab, Codec: codec(t, "rle"),
+					Seed: seed, Strata: 4, TargetError: 0.01, SampleRows: 64})
+				if res.Err != nil {
+					t.Error(res.Err)
+				}
+				return res
+			}
+			timeless := func(e core.Estimate) core.Estimate {
+				e.SampleDuration, e.BuildDuration, e.CompressDuration = 0, 0, 0
+				return e
+			}
+			same := func(what string, a, b Result) {
+				t.Helper()
+				if !reflect.DeepEqual(timeless(a.Estimate), timeless(b.Estimate)) ||
+					a.Rounds != b.Rounds || a.AchievedError != b.AchievedError {
+					t.Errorf("%s: CF %v ± %v in %d rounds (%d rows), want CF %v ± %v in %d rounds (%d rows)", what,
+						b.Estimate.CF, b.AchievedError, b.Rounds, b.Estimate.SampleRows,
+						a.Estimate.CF, a.AchievedError, a.Rounds, a.Estimate.SampleRows)
+				}
+			}
+			prev := runtime.GOMAXPROCS(0)
+			for seed := uint64(1); seed <= 6; seed++ {
+				runtime.GOMAXPROCS(1)
+				one := ask(seed)
+				runtime.GOMAXPROCS(4)
+				for rep := 0; rep < 3; rep++ {
+					same(fmt.Sprintf("seed %d at GOMAXPROCS 4", seed), one, ask(seed))
+				}
+			}
+			runtime.GOMAXPROCS(prev)
+
+			one := ask(13)
+			if one.Rounds < 2 {
+				t.Fatalf("ask converged in %d round; the check needs extensions", one.Rounds)
+			}
+			results := make([]Result, 16)
+			var wg sync.WaitGroup
+			for i := range results {
+				wg.Add(1)
+				go func(i int) {
+					defer wg.Done()
+					results[i] = ask(13)
+				}(i)
+			}
+			wg.Wait()
+			for i, r := range results {
+				same(fmt.Sprintf("concurrent ask %d", i), one, r)
+			}
+		})
 	}
 }

@@ -3,7 +3,7 @@ package sampling_test
 import (
 	"bytes"
 	"errors"
-	"slices"
+	"fmt"
 	"testing"
 
 	"samplecf/internal/core"
@@ -146,74 +146,76 @@ func TestGatherMatchesRowPath(t *testing.T) {
 				}
 				return nil
 			})
-			dir, err := core.StratifyTable(src, schema, []string{"city"}, stratumBounds(t, src, schema))
-			if err != nil {
-				t.Fatal(err)
-			}
-			for h := 0; h < dir.NumStrata(); h++ {
-				if dir.Counts()[h] == 0 {
-					continue
-				}
-				drawBoth(t, "stratum WRInto", schema, src, func(s sampling.RowSource, ar *value.RecordArena) error {
-					return dir.WRInto(s, h, 300, rng.New(sampling.StreamSeed(3, h)), ar)
-				})
-				drawBoth(t, "stratum ExtendWRInto", schema, src, func(s sampling.RowSource, ar *value.RecordArena) error {
-					return dir.ExtendWRInto(s, h, ar, 200, sampling.StreamSeed(3, h), 1)
+			ks, keyOf := projectedStrata(t, schema, stratumBounds(t, src, schema))
+			for h := 0; h < ks.NumStrata(); h++ {
+				drawBoth(t, "routed takes", schema, src, func(s sampling.RowSource, ar *value.RecordArena) error {
+					rt, err := sampling.NewRouter(s, schema, ks, keyOf, 3)
+					if err != nil {
+						return err
+					}
+					for _, extra := range []int64{300, 200} {
+						if err := rt.ExtendInto(h, ar, extra, 1<<20); err != nil {
+							return err
+						}
+					}
+					return nil
 				})
 			}
 		})
 	}
 }
 
-// stratumRows lists stratum h's row indices in ascending order: a WOR draw
-// of the whole stratum returns every index exactly once.
-func stratumRows(t *testing.T, dir *sampling.StrataDirectory, h int) []int64 {
+// projectedStrata returns the key strata bounds induce and the key projection
+// of cols that places a record in them.
+func projectedStrata(t *testing.T, schema *value.Schema, bounds [][]byte, cols ...string) (*sampling.KeyStrata, func(buf, rec []byte) []byte) {
 	t.Helper()
-	rows, err := dir.WORExtend(h, dir.Counts()[h], 1, 0, make(map[int64]struct{}))
-	if err != nil {
-		t.Fatal(err)
-	}
-	slices.Sort(rows)
-	return rows
-}
-
-// referenceStrata buckets src's rows the slow way: decode each row,
-// encode its projected key with value.EncodeKey, and search the bounds.
-func referenceStrata(t *testing.T, src sampling.RowSource, schema *value.Schema, cols []string, bounds [][]byte) [][]int64 {
-	t.Helper()
-	keySchema, err := schema.Project(cols...)
-	if err != nil {
-		t.Fatal(err)
+	if len(cols) == 0 {
+		cols = []string{"city"}
 	}
 	ks, err := sampling.NewKeyStrata(bounds)
 	if err != nil {
 		t.Fatal(err)
 	}
-	out := make([][]int64, ks.NumStrata())
-	for i := int64(0); i < src.NumRows(); i++ {
-		row, err := src.Row(i)
-		if err != nil {
-			t.Fatal(err)
-		}
-		krow := make(value.Row, len(cols))
-		for c, name := range cols {
-			pos, _ := schema.ColumnIndex(name)
-			krow[c] = row[pos]
-		}
-		key, err := value.EncodeKey(keySchema, krow, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		h := ks.StratumOf(key)
-		out[h] = append(out[h], i)
+	idx := make([]int, len(cols))
+	for i, name := range cols {
+		idx[i], _ = schema.ColumnIndex(name)
 	}
-	return out
+	proj, err := value.NewProjection(schema, idx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return ks, proj.AppendKey
 }
 
-// TestStratifyTableRecordsMatchRows requires the directories built from a
-// record store and from decoded rows to bucket every row exactly as an
-// EncodeKey reference does, for single- and multi-column keys with
-// negative integers.
+// referenceStratum places a record the slow way: decode it, encode its
+// projected key with value.EncodeKey, and search the strata.
+func referenceStratum(t *testing.T, schema *value.Schema, cols []string, ks *sampling.KeyStrata, rec []byte) int {
+	t.Helper()
+	keySchema, err := schema.Project(cols...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	row, err := value.DecodeRecord(schema, rec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	krow := make(value.Row, len(cols))
+	for c, name := range cols {
+		pos, _ := schema.ColumnIndex(name)
+		krow[c] = row[pos]
+	}
+	key, err := value.EncodeKey(keySchema, krow, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return ks.StratumOf(key)
+}
+
+// TestStratifyTableRecordsMatchRows requires routing from a record store
+// and from decoded rows to place every row exactly as an EncodeKey
+// reference does, for single- and multi-column keys with negative
+// integers: both paths take byte-identical rows per stratum, and every
+// row taken for stratum h belongs to stratum h.
 func TestStratifyTableRecordsMatchRows(t *testing.T) {
 	srcs, schema := gatherSources(t)
 	for name, src := range srcs {
@@ -222,18 +224,28 @@ func TestStratifyTableRecordsMatchRows(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			want := referenceStrata(t, src, schema, cols, bounds)
+			ks, keyOf := projectedStrata(t, schema, bounds, cols...)
+			takes := map[string][]*value.RecordArena{}
 			for path, s := range map[string]sampling.RowSource{"records": src, "rows": rowsOnly{src}} {
-				dir, err := core.StratifyTable(s, schema, cols, bounds)
+				rt, err := sampling.NewRouter(s, schema, ks, keyOf, 8)
 				if err != nil {
 					t.Fatal(err)
 				}
-				for h := range want {
-					if got := stratumRows(t, dir, h); !slices.Equal(got, want[h]) {
-						t.Fatalf("%s %v from %s: stratum %d holds %d rows, reference %d",
-							name, cols, path, h, len(got), len(want[h]))
+				for h := 0; h < ks.NumStrata(); h++ {
+					ar := value.NewRecordArena(schema, 0)
+					if err := rt.ExtendInto(h, ar, 200, 1<<20); err != nil {
+						t.Fatal(err)
 					}
+					for i := 0; i < ar.Len(); i++ {
+						if got := referenceStratum(t, schema, cols, ks, ar.Rec(i)); got != h {
+							t.Fatalf("%s %v from %s: stratum %d took a row of stratum %d", name, cols, path, h, got)
+						}
+					}
+					takes[path] = append(takes[path], ar)
 				}
+			}
+			for h := range takes["records"] {
+				sameArena(t, fmt.Sprintf("%s %v stratum %d", name, cols, h), takes["records"][h], takes["rows"][h])
 			}
 		}
 	}

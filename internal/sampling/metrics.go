@@ -8,7 +8,7 @@ import "samplecf/internal/obs"
 var (
 	metricRowsDrawn = obs.Default().Counter(
 		"samplecf_sampling_rows_drawn_total",
-		"Rows drawn by sampling routines: one-shot, resumable-round, reservoir-gather, and stratified draws alike.")
+		"Rows drawn by sampling routines: one-shot, resumable-round and reservoir-gather draws, and every routed stream row of a stratified draw.")
 	metricReservoirRebuilds = obs.Default().Counter(
 		"samplecf_reservoir_rebuilds_total",
 		"Backing-sample reservoir resets ahead of a staleness rebuild scan.")

@@ -64,16 +64,27 @@ type RecordSource interface {
 
 // gather appends count rows of src to ar, row pick() for each in turn. It
 // is the draw primitive every row draw into an arena runs through (with
-// or without replacement, whole table or one stratum), and the only place
-// that chooses how a drawn row leaves storage. It draws indices ahead of
-// the copy, gatherChunk at a time and in pick order, into a stack buffer;
-// then a RecordSource's rows are byte-copied out of its store in one tight
-// loop and keyed in one pass after it (value.RecordArena.AppendGather),
-// and any other source — a virtual table, an unsnapshotted db table, a
-// SliceSource — materializes each row with Row and encodes it with
-// Append. pick runs once per row on either path, in the same order, so a
-// given RNG stream draws the same rows and yields the same bytes.
+// or without replacement, whole table or one stratum's routed rows), and
+// the only place that chooses how a drawn row leaves storage. It draws
+// indices ahead of the copy, gatherChunk at a time and in pick order, into
+// a stack buffer; then a RecordSource's rows are byte-copied out of its
+// store in one tight loop and keyed in one pass after it
+// (value.RecordArena.AppendGather), and any other source — a virtual
+// table, an unsnapshotted db table, a SliceSource — materializes each row
+// with Row and encodes it with Append. pick runs once per row on either
+// path, in the same order, so a given RNG stream draws the same rows and
+// yields the same bytes.
 func gather(src RowSource, ar *value.RecordArena, count int64, pick func() int64) error {
+	if err := gatherRows(src, ar, count, pick); err != nil {
+		return err
+	}
+	metricRowsDrawn.Add(uint64(count))
+	return nil
+}
+
+// gatherRows is gather without the rows-drawn tally, for rows drawn (and
+// counted) earlier: a Router's routed rows.
+func gatherRows(src RowSource, ar *value.RecordArena, count int64, pick func() int64) error {
 	recs, ok, err := storeOf(src, int64(ar.RowWidth()))
 	if err != nil {
 		return err
@@ -101,7 +112,6 @@ func gather(src RowSource, ar *value.RecordArena, count int64, pick func() int64
 		}
 		done += int64(len(idx))
 	}
-	metricRowsDrawn.Add(uint64(count))
 	return nil
 }
 
@@ -126,10 +136,10 @@ func storeOf(src RowSource, w int64) ([]byte, bool, error) {
 
 // ScanRecords calls fn(i, rec) for every row i in [lo, hi) of src, in
 // order, with rec row i's fixed-width record under schema: the full-table
-// counterpart of gather, for O(n) readers such as stratum directories and
-// ground-truth scans. A RecordSource hands out slices of its store; any
-// other source materializes Row(i) and encodes it into a scratch buffer,
-// so fn must not retain rec past the call.
+// counterpart of gather, for O(n) readers such as ground-truth scans. A
+// RecordSource hands out slices of its store; any other source
+// materializes Row(i) and encodes it into a scratch buffer, so fn must not
+// retain rec past the call.
 func ScanRecords(src RowSource, schema *value.Schema, lo, hi int64, fn func(i int64, rec []byte) error) error {
 	n, w := src.NumRows(), int64(schema.RowWidth())
 	if lo < 0 || hi > n || lo > hi {

@@ -3,7 +3,9 @@ package sampling
 import (
 	"bytes"
 	"fmt"
+	"math"
 	"sort"
+	"sync"
 
 	"samplecf/internal/rng"
 	"samplecf/internal/value"
@@ -13,12 +15,13 @@ import (
 //
 // A uniform sample of a skewed table spends most of its rows re-observing
 // the hot part of the key domain; partitioning the domain into contiguous
-// memcomparable-key ranges (strata) and drawing each range's sub-sample
-// independently removes the between-strata component of the estimator's
-// variance, and Neyman allocation (n_h ∝ N_h·σ_h) spends rows where the
-// residual within-stratum variance is. The pieces here are deliberately
-// mechanical — boundaries, a row directory, per-stratum resumable streams,
-// an allocator — and composition (weights, variance, confidence intervals)
+// memcomparable-key ranges (strata) and sampling each range on its own
+// removes the between-strata component of the estimator's variance, and
+// Neyman allocation (n_h ∝ N_h·σ_h) spends rows where the residual
+// within-stratum variance is. The pieces here are deliberately mechanical
+// — boundaries, a Router that splits one uniform stream into per-stratum
+// queues (no table scan: a row's stratum is found when it is drawn), an
+// allocator — and composition (weights, variance, confidence intervals)
 // stays in internal/stats and internal/core.
 
 // StreamSeed derives sub-stream h's seed from a base seed by a Weyl step,
@@ -90,121 +93,159 @@ func EquiDepthBoundaries(n, h int, key func(i int) []byte) [][]byte {
 	return bounds
 }
 
-// StrataDirectory buckets every row index of a table by key-range stratum:
-// the per-stratum random-access view stratified draws need. Building it
-// costs one O(n) key-projection scan; the engine caches directories per
-// (table version, key columns, strata count) so the scan amortizes across
-// the what-if traffic that reuses them.
-type StrataDirectory struct {
+// Router stratifies a draw by routing one uniform stream rather than by
+// scanning the table: it draws rows uniformly with replacement — row
+// g.Int63n(n) for each draw of rng.New(seed), in order, the rows
+// UniformWRInto picks — derives each drawn row's key, and appends the row
+// to its stratum's FIFO queue. Rows routed to stratum h are therefore
+// i.i.d. uniform over stratum h, and each queue is a fixed function of the
+// seed whatever order the strata are served in. One router serves every
+// stratum of one draw: a stratum takes the first rows of its own queue,
+// and the stream is drawn further, under the router's lock, only while a
+// queue is short; rows routed to other strata stay queued for them.
+type Router struct {
+	src    RowSource
+	schema *value.Schema
 	strata *KeyStrata
-	rows   [][]int64 // rows[h] = row indices of stratum h, ascending
-	total  int64
+	keyOf  func(buf, rec []byte) []byte
+	store  []byte // src's record store; nil when src has none
+
+	mu       sync.Mutex
+	g        *rng.RNG
+	drawn    int64      // stream rows drawn so far
+	queues   [][]routed // per stratum: routed rows not yet taken, in stream order
+	reach    []int64    // per stratum: stream rows its takes have searched
+	err      error      // a failed row fetch stops the stream for good
+	key, rec []byte     // scratch
 }
 
-// BuildStrataDirectory scans src's records (ScanRecords under schema) in
-// order, deriving each row's index key with keyOf (append-style:
-// keyOf(buf, rec) appends rec's key to buf, typically a
-// value.Projection's AppendKey) and bucketing the row index by key range.
-// Within a stratum, row indices stay in table order — with a single
-// stratum the directory is the identity over [0, n), which is what keeps
-// degenerate stratified draws byte-identical to uniform ones.
-func BuildStrataDirectory(src RowSource, schema *value.Schema, ks *KeyStrata,
-	keyOf func(buf, rec []byte) []byte) (*StrataDirectory, error) {
-	n := src.NumRows()
-	if n == 0 {
+// routed is one queued stream row: its stream position and row index.
+type routed struct{ pos, row int64 }
+
+// NewRouter starts the stream keyed by seed over src. keyOf derives a
+// record's key (append-style, typically a value.Projection's AppendKey)
+// from its fixed-width record under schema.
+func NewRouter(src RowSource, schema *value.Schema, ks *KeyStrata, keyOf func(buf, rec []byte) []byte, seed uint64) (*Router, error) {
+	if src.NumRows() == 0 {
 		return nil, fmt.Errorf("sampling: source is empty")
 	}
+	store, _, err := storeOf(src, int64(schema.RowWidth()))
+	if err != nil {
+		return nil, err
+	}
 	h := ks.NumStrata()
-	d := &StrataDirectory{strata: ks, rows: make([][]int64, h), total: n}
-	if h == 1 {
-		idx := make([]int64, n)
-		for i := range idx {
-			idx[i] = int64(i)
+	return &Router{
+		src: src, schema: schema, strata: ks, keyOf: keyOf, store: store,
+		g: rng.New(seed), queues: make([][]routed, h), reach: make([]int64, h),
+	}, nil
+}
+
+// route draws count more stream rows and queues each under its stratum.
+// The caller holds r.mu.
+func (r *Router) route(count int64) error {
+	if r.err != nil {
+		return r.err
+	}
+	n, w := r.src.NumRows(), int64(r.schema.RowWidth())
+	for k := int64(0); k < count; k++ {
+		i := r.g.Int63n(n)
+		s := 0
+		if r.strata.NumStrata() > 1 {
+			if r.store != nil {
+				r.key = r.keyOf(r.key[:0], r.store[i*w:(i+1)*w])
+			} else {
+				row, err := r.src.Row(i)
+				if err == nil {
+					r.rec, err = value.EncodeRecord(r.schema, row, r.rec[:0])
+				}
+				if err != nil {
+					r.err = fmt.Errorf("sampling: row fetch: %w", err)
+					metricRowsDrawn.Add(uint64(k))
+					return r.err
+				}
+				r.key = r.keyOf(r.key[:0], r.rec)
+			}
+			s = r.strata.StratumOf(r.key)
 		}
-		d.rows[0] = idx
-		return d, nil
+		r.queues[s] = append(r.queues[s], routed{pos: r.drawn, row: i})
+		r.drawn++
 	}
-	var buf []byte
-	err := ScanRecords(src, schema, 0, n, func(i int64, rec []byte) error {
-		buf = keyOf(buf[:0], rec)
-		s := ks.StratumOf(buf)
-		d.rows[s] = append(d.rows[s], i)
-		return nil
-	})
-	if err != nil {
+	metricRowsDrawn.Add(uint64(count))
+	return nil
+}
+
+// Tally draws m more stream rows and returns how many rows each stratum
+// holds queued: on a fresh router, the strata's counts in a uniform sample
+// of m rows.
+func (r *Router) Tally(m int64) ([]int64, error) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if err := r.route(m); err != nil {
 		return nil, err
 	}
-	return d, nil
-}
-
-// NumStrata returns H.
-func (d *StrataDirectory) NumStrata() int { return len(d.rows) }
-
-// Strata returns the key partition the directory was built over.
-func (d *StrataDirectory) Strata() *KeyStrata { return d.strata }
-
-// NumRows returns the total row count across strata.
-func (d *StrataDirectory) NumRows() int64 { return d.total }
-
-// Counts returns the per-stratum population sizes N_h (a fresh slice).
-func (d *StrataDirectory) Counts() []int64 {
-	out := make([]int64, len(d.rows))
-	for h, r := range d.rows {
-		out[h] = int64(len(r))
-	}
-	return out
-}
-
-// WRInto draws r rows uniformly with replacement from stratum h straight
-// into the arena — the fixed-size stratified draw. The g
-// stream is caller-owned (one rng.New(StreamSeed(seed, h)) per stratum), so
-// with a single identity stratum the draw sequence is exactly UniformWRInto's.
-func (d *StrataDirectory) WRInto(src RowSource, h int, r int64, g *rng.RNG, ar *value.RecordArena) error {
-	idx := d.rows[h]
-	if len(idx) == 0 {
-		return fmt.Errorf("sampling: stratum %d is empty", h)
-	}
-	if r < 0 {
-		return fmt.Errorf("sampling: negative sample size %d", r)
-	}
-	nh := int64(len(idx))
-	return gather(src, ar, r, func() int64 { return idx[g.Int63n(nh)] })
-}
-
-// ExtendWRInto appends `extra` rows drawn uniformly with replacement from
-// stratum h — round `round` of the stratum's resumable draw keyed by seed,
-// the per-stratum analogue of the package-level ExtendWRInto. Callers
-// derive per-stratum seeds (StreamSeed) so the strata's streams are
-// mutually independent, and rounds of one stream never redraw earlier
-// rounds' rows.
-func (d *StrataDirectory) ExtendWRInto(src RowSource, h int, ar *value.RecordArena,
-	extra int64, seed uint64, round int) error {
-	if round < 0 {
-		return fmt.Errorf("sampling: negative round %d", round)
-	}
-	if extra < 0 {
-		return fmt.Errorf("sampling: negative extension size %d", extra)
-	}
-	return d.WRInto(src, h, extra, rng.New(seed).Derive(uint64(round)), ar)
-}
-
-// WORExtend draws `extra` distinct rows of stratum h that no earlier round
-// picked — round `round` of the stratum's resumable without-replacement
-// stream keyed by seed — returning their table-global row indices and
-// recording the stratum-local picks in chosen (one chosen set per stratum,
-// caller-kept across rounds).
-func (d *StrataDirectory) WORExtend(h int, extra int64, seed uint64, round int,
-	chosen map[int64]struct{}) ([]int64, error) {
-	idx := d.rows[h]
-	local, err := WORExtendIndices(int64(len(idx)), extra, seed, round, chosen)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]int64, len(local))
-	for i, l := range local {
-		out[i] = idx[l]
+	out := make([]int64, len(r.queues))
+	for h, q := range r.queues {
+		out[h] = int64(len(q))
 	}
 	return out, nil
+}
+
+// ExtendInto appends up to extra rows of stratum h to ar: the first rows
+// of its queue, drawing the stream further while the queue is short, but
+// searching at most maxScan (> 0) stream rows past those stratum h's
+// earlier takes searched. It appends fewer than extra rows only when the
+// cap is reached, and fails when the cap yields none. The rows leave the
+// queue only when their gather succeeds, so a failed call retried returns
+// the same rows.
+func (r *Router) ExtendInto(h int, ar *value.RecordArena, extra, maxScan int64) error {
+	if err := drawPoint.Check(); err != nil {
+		return err
+	}
+	if h < 0 || h >= len(r.queues) {
+		return fmt.Errorf("sampling: stratum %d outside [0,%d)", h, len(r.queues))
+	}
+	if extra < 0 || maxScan <= 0 {
+		return fmt.Errorf("sampling: extension of %d rows within %d stream draws", extra, maxScan)
+	}
+	if extra == 0 {
+		return nil
+	}
+	r.mu.Lock()
+	limit := int64(math.MaxInt64)
+	if r.reach[h] < limit-maxScan {
+		limit = r.reach[h] + maxScan
+	}
+	for int64(len(r.queues[h])) < extra && r.drawn < limit {
+		if err := r.route(min(extra-int64(len(r.queues[h])), limit-r.drawn)); err != nil {
+			r.mu.Unlock()
+			return err
+		}
+	}
+	// Rows other strata's draws queued at or past the cap belong to this
+	// stratum's later takes.
+	q := r.queues[h]
+	k := int64(sort.Search(int(min(int64(len(q)), extra)), func(i int) bool { return q[i].pos >= limit }))
+	reach := limit
+	if k == extra {
+		reach = q[k-1].pos + 1
+	}
+	rows := make([]int64, k)
+	for i := range rows {
+		rows[i] = q[i].row
+	}
+	r.mu.Unlock()
+	if k == 0 {
+		return fmt.Errorf("sampling: stratum %d: no row in %d stream draws", h, maxScan)
+	}
+	next := 0
+	if err := gatherRows(r.src, ar, k, func() int64 { next++; return rows[next-1] }); err != nil {
+		return err
+	}
+	r.mu.Lock()
+	r.queues[h] = r.queues[h][k:]
+	r.reach[h] = reach
+	r.mu.Unlock()
+	return nil
 }
 
 // Allocate splits a total sample size across strata in proportion to

@@ -3,14 +3,16 @@ package sampling
 import (
 	"bytes"
 	"fmt"
+	"strings"
 	"testing"
 
 	"samplecf/internal/obs"
 	"samplecf/internal/rng"
+	"samplecf/internal/stats"
 	"samplecf/internal/value"
 )
 
-// strataKeyOf derives a record's whole-row index key for directory builds.
+// strataKeyOf derives a record's whole-row index key for routing.
 func strataKeyOf(t testing.TB, schema *value.Schema) func(buf, rec []byte) []byte {
 	t.Helper()
 	all := make([]int, schema.NumColumns())
@@ -87,58 +89,12 @@ func TestEquiDepthBoundaries(t *testing.T) {
 	}
 }
 
-// TestStrataDirectorySingleStratumIdentity pins the degenerate contract:
-// one stratum's directory is the identity over [0,n) and its WR draw with
-// the base seed is byte-identical to UniformWRInto.
-func TestStrataDirectorySingleStratumIdentity(t *testing.T) {
-	src, schema := resumableRows(t, 3000)
-	ks, err := NewKeyStrata(nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	dir, err := BuildStrataDirectory(src, schema, ks, strataKeyOf(t, schema))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := dir.Counts(); len(got) != 1 || got[0] != 3000 {
-		t.Fatalf("Counts = %v, want [3000]", got)
-	}
-	const seed, r = 7, 500
-	plain := value.NewRecordArena(schema, r)
-	if err := UniformWRInto(src, r, rng.New(seed), plain); err != nil {
-		t.Fatal(err)
-	}
-	strat := value.NewRecordArena(schema, r)
-	if err := dir.WRInto(src, 0, r, rng.New(StreamSeed(seed, 0)), strat); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(plain.Recs(), strat.Recs()) || !bytes.Equal(plain.Keys(), strat.Keys()) {
-		t.Error("single-stratum WR draw differs from UniformWRInto")
-	}
-	// Resumable rounds too: stratum stream round k == package-level round k.
-	plainExt := value.NewRecordArena(schema, r)
-	stratExt := value.NewRecordArena(schema, r)
-	for round, sz := range []int64{100, 200} {
-		if err := ExtendWRInto(src, plainExt, sz, seed, round); err != nil {
-			t.Fatal(err)
-		}
-		if err := dir.ExtendWRInto(src, 0, stratExt, sz, StreamSeed(seed, 0), round); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if !bytes.Equal(plainExt.Recs(), stratExt.Recs()) {
-		t.Error("single-stratum resumable rounds differ from ExtendWRInto")
-	}
-}
-
-// TestStrataDirectoryPartition checks every row lands in exactly the
-// stratum its key selects and per-stratum draws stay in-stratum.
-func TestStrataDirectoryPartition(t *testing.T) {
-	src, schema := resumableRows(t, 2000)
-	// Boundaries on the encoded keys at rows 500/1000/1500 (row-%06d keys
-	// sort in row order).
+// rowBounds returns the encoded keys of rows idx as stratum boundaries
+// (row-%06d keys sort in row order).
+func rowBounds(t *testing.T, src RowSource, schema *value.Schema, idx ...int64) *KeyStrata {
+	t.Helper()
 	var bounds [][]byte
-	for _, i := range []int64{500, 1000, 1500} {
+	for _, i := range idx {
 		row, err := src.Row(i)
 		if err != nil {
 			t.Fatal(err)
@@ -153,73 +109,219 @@ func TestStrataDirectoryPartition(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dir, err := BuildStrataDirectory(src, schema, ks, strataKeyOf(t, schema))
+	return ks
+}
+
+// newRouter starts a router over src's whole-row keys.
+func newRouter(t *testing.T, src RowSource, schema *value.Schema, ks *KeyStrata, seed uint64) *Router {
+	t.Helper()
+	r, err := NewRouter(src, schema, ks, strataKeyOf(t, schema), seed)
 	if err != nil {
 		t.Fatal(err)
 	}
-	counts := dir.Counts()
-	want := []int64{500, 500, 500, 500}
-	for h := range want {
-		if counts[h] != want[h] {
-			t.Errorf("stratum %d count = %d, want %d", h, counts[h], want[h])
-		}
+	return r
+}
+
+// streamRows reads the rows-drawn counter, which counts every routed
+// stream row.
+func streamRows(t *testing.T) int64 {
+	t.Helper()
+	v, ok := obs.Default().Value("samplecf_sampling_rows_drawn_total")
+	if !ok {
+		t.Fatal("rows-drawn counter not registered")
 	}
-	if dir.NumRows() != 2000 {
-		t.Errorf("NumRows = %d, want 2000", dir.NumRows())
+	return int64(v)
+}
+
+// rowIndex recovers a resumableRows row's index from its record.
+func rowIndex(t *testing.T, rec []byte) int {
+	t.Helper()
+	var i int
+	if _, err := fmt.Sscanf(string(rec), "row-%06d", &i); err != nil {
+		t.Fatalf("record %q: %v", rec, err)
 	}
-	// Drawn rows of stratum h must all carry keys in stratum h's range.
-	for h := 0; h < dir.NumStrata(); h++ {
-		ar := value.NewRecordArena(schema, 64)
-		if err := dir.ExtendWRInto(src, h, ar, 64, StreamSeed(9, h), 0); err != nil {
+	return i
+}
+
+// TestStrataDirectorySingleStratumIdentity pins the degenerate contract:
+// a one-stratum router's stream is UniformWRInto's draw at the same seed,
+// and its takes, whatever their sizes, concatenate to that one draw.
+func TestStrataDirectorySingleStratumIdentity(t *testing.T) {
+	src, schema := resumableRows(t, 3000)
+	ks, err := NewKeyStrata(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const seed, r = 7, 500
+	plain := value.NewRecordArena(schema, r)
+	if err := UniformWRInto(src, r, rng.New(seed), plain); err != nil {
+		t.Fatal(err)
+	}
+	routed := value.NewRecordArena(schema, r)
+	rt := newRouter(t, src, schema, ks, seed)
+	before := streamRows(t)
+	for _, sz := range []int64{100, 150, 250} {
+		if err := rt.ExtendInto(0, routed, sz, sz); err != nil {
 			t.Fatal(err)
 		}
-		for i := 0; i < ar.Len(); i++ {
-			if got := ks.StratumOf(ar.Key(i)); got != h {
-				t.Fatalf("stratum %d draw produced a key of stratum %d", h, got)
-			}
-		}
+	}
+	if !bytes.Equal(plain.Recs(), routed.Recs()) || !bytes.Equal(plain.Keys(), routed.Keys()) {
+		t.Error("single-stratum routed takes differ from UniformWRInto")
+	}
+	if got := streamRows(t) - before; got != r {
+		t.Errorf("single-stratum router drew %d stream rows for %d taken", got, r)
 	}
 }
 
-// TestStrataDirectoryWORExtend checks per-stratum WOR rounds stay distinct,
-// in-stratum, and resumable across rounds.
-func TestStrataDirectoryWORExtend(t *testing.T) {
-	src, schema := resumableRows(t, 1000)
-	mid, err := src.Row(500)
-	if err != nil {
-		t.Fatal(err)
-	}
-	midKey, err := value.EncodeKey(schema, mid, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ks, err := NewKeyStrata([][]byte{midKey})
-	if err != nil {
-		t.Fatal(err)
-	}
-	dir, err := BuildStrataDirectory(src, schema, ks, strataKeyOf(t, schema))
-	if err != nil {
-		t.Fatal(err)
-	}
-	chosen := make(map[int64]struct{})
-	seen := make(map[int64]struct{})
-	for round := 0; round < 3; round++ {
-		idx, err := dir.WORExtend(1, 50, StreamSeed(3, 1), round, chosen)
-		if err != nil {
+// TestStrataDirectoryPartition checks every routed row lands in the
+// stratum its key selects, and a pilot's tally splits near the strata's
+// true shares.
+func TestStrataDirectoryPartition(t *testing.T) {
+	src, schema := resumableRows(t, 2000)
+	ks := rowBounds(t, src, schema, 500, 1000, 1500)
+	rt := newRouter(t, src, schema, ks, 9)
+	for h := 0; h < ks.NumStrata(); h++ {
+		ar := value.NewRecordArena(schema, 64)
+		if err := rt.ExtendInto(h, ar, 64, 1<<20); err != nil {
 			t.Fatal(err)
 		}
-		for _, g := range idx {
-			if g < 500 || g >= 1000 {
-				t.Fatalf("round %d drew global row %d outside stratum 1", round, g)
+		if ar.Len() != 64 {
+			t.Fatalf("stratum %d: took %d rows, want 64", h, ar.Len())
+		}
+		for i := 0; i < ar.Len(); i++ {
+			if got := ks.StratumOf(ar.Key(i)); got != h {
+				t.Fatalf("stratum %d take produced a key of stratum %d", h, got)
 			}
-			if _, dup := seen[g]; dup {
-				t.Fatalf("round %d redrew row %d", round, g)
+			if lo, idx := 500*h, rowIndex(t, ar.Rec(i)); idx < lo || idx >= lo+500 {
+				t.Fatalf("stratum %d take produced row %d", h, idx)
 			}
-			seen[g] = struct{}{}
 		}
 	}
-	if len(seen) != 150 {
-		t.Fatalf("drew %d distinct rows, want 150", len(seen))
+	counts, err := newRouter(t, src, schema, ks, 3).Tally(8000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var total int64
+	for h, c := range counts {
+		total += c
+		// Binomial(8000, 1/4): σ ≈ 39; 6σ keeps the check deterministic
+		// in practice without hiding a misrouted stratum.
+		if c < 2000-240 || c > 2000+240 {
+			t.Errorf("stratum %d tallied %d of 8000, want about 2000", h, c)
+		}
+	}
+	if total != 8000 {
+		t.Errorf("tally covers %d rows, want 8000", total)
+	}
+}
+
+// TestStrataDirectoryWORExtend checks a stratum's takes are resumable and
+// independent of serving order: the rows a stratum receives depend only
+// on the stream and its own takes, never on which other strata drew the
+// stream further, and a take whose gather fails leaves its rows queued,
+// so the retry returns them.
+func TestStrataDirectoryWORExtend(t *testing.T) {
+	src, schema := resumableRows(t, 1000)
+	ks := rowBounds(t, src, schema, 500)
+	take := func(rt *Router, h int, sizes ...int64) *value.RecordArena {
+		t.Helper()
+		ar := value.NewRecordArena(schema, 0)
+		for _, sz := range sizes {
+			if err := rt.ExtendInto(h, ar, sz, 1<<20); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return ar
+	}
+	a := newRouter(t, src, schema, ks, 3)
+	a1 := take(a, 1, 50, 50, 50)
+	a0 := take(a, 0, 150)
+	b := newRouter(t, src, schema, ks, 3)
+	b0 := take(b, 0, 100, 50)
+	b1 := take(b, 1, 150)
+	if !bytes.Equal(a0.Recs(), b0.Recs()) || !bytes.Equal(a1.Recs(), b1.Recs()) {
+		t.Error("a stratum's rows depend on the order the strata were served in")
+	}
+
+	// A failed gather consumes nothing.
+	flaky := &failingSource{RowSource: src}
+	c := newRouter(t, flaky, schema, ks, 3)
+	take(c, 1, 150) // routes about 150 stratum-0 rows on the way
+	flaky.fail = true
+	if err := c.ExtendInto(0, value.NewRecordArena(schema, 0), 100, 1<<20); err == nil {
+		t.Fatal("a failing row fetch did not fail the take")
+	}
+	flaky.fail = false
+	if got := take(c, 0, 150); !bytes.Equal(got.Recs(), a0.Recs()) {
+		t.Error("the retry after a failed take returned different rows")
+	}
+}
+
+// failingSource fails every Row call while fail is set.
+type failingSource struct {
+	RowSource
+	fail bool
+}
+
+func (f *failingSource) Row(i int64) (value.Row, error) {
+	if f.fail {
+		return nil, fmt.Errorf("row %d unavailable", i)
+	}
+	return f.RowSource.Row(i)
+}
+
+// TestRoutedStratumUniformChiSquared is the property test of routing:
+// rows routed to one stratum are uniform over that stratum. Row counts
+// of a long take from the middle stratum are tested against the uniform
+// expectation with Pearson's chi-squared (via internal/stats).
+func TestRoutedStratumUniformChiSquared(t *testing.T) {
+	src, schema := resumableRows(t, 1200)
+	ks := rowBounds(t, src, schema, 400, 800)
+	const take = 40_000
+	ar := value.NewRecordArena(schema, take)
+	if err := newRouter(t, src, schema, ks, 17).ExtendInto(1, ar, take, 1<<30); err != nil {
+		t.Fatal(err)
+	}
+	counts := make([]int64, 400)
+	for i := 0; i < ar.Len(); i++ {
+		idx := rowIndex(t, ar.Rec(i))
+		if idx < 400 || idx >= 800 {
+			t.Fatalf("stratum 1 take produced row %d", idx)
+		}
+		counts[idx-400]++
+	}
+	x2, df := stats.ChiSquaredUniform(counts)
+	if p := stats.ChiSquaredPValue(x2, df); p < 1e-3 {
+		t.Fatalf("routed rows not uniform over their stratum: X² = %.1f (df %d), p = %g", x2, df, p)
+	}
+}
+
+// TestRoutedTakeCapHolds checks the stream cap: a take from a near-empty
+// stratum searches at most maxScan stream rows, returns the rows it found
+// when the cap cuts it short, and fails with a clear error when it found
+// none.
+func TestRoutedTakeCapHolds(t *testing.T) {
+	src, schema := resumableRows(t, 2000)
+	ks := rowBounds(t, src, schema, 1990) // stratum 1: 10 of 2000 rows
+	rt := newRouter(t, src, schema, ks, 5)
+	ar := value.NewRecordArena(schema, 0)
+	const maxScan = 1000 // about 5 stratum-1 rows expected
+	before := streamRows(t)
+	if err := rt.ExtendInto(1, ar, 100, maxScan); err != nil {
+		t.Fatal(err)
+	}
+	if got := streamRows(t) - before; got != maxScan {
+		t.Errorf("capped take drew %d stream rows, want %d", got, maxScan)
+	}
+	if ar.Len() == 0 || ar.Len() >= 100 {
+		t.Errorf("capped take returned %d rows, want a short nonzero take", ar.Len())
+	}
+	err := rt.ExtendInto(1, ar, 5, 1)
+	if got := streamRows(t) - before; got > maxScan+1 {
+		t.Errorf("a one-row cap drew %d stream rows in total, want at most %d", got, maxScan+1)
+	}
+	if err != nil && !strings.Contains(err.Error(), "no row in 1 stream draws") {
+		t.Errorf("empty capped take: %v", err)
 	}
 }
 

@@ -66,3 +66,29 @@ func StratifiedSD(strata []Stratum) float64 {
 	}
 	return math.Sqrt(varSum) / wsum
 }
+
+// PilotWeightVariance is the variance a stratified sum Σ w_h·μ_h gains
+// when one uniform pilot of m rows estimated its strata's weights instead
+// of counting them: double sampling for stratification (Cochran,
+// *Sampling Techniques*, §12.2). With ŵ_h = m_h/m multinomial, the term is
+// (1/m)·Σ w_h(μ_h − μ)² for strata whose weights sum to one. When the
+// strata are one shard's cells, their weights sum to the shard's exact
+// share p rather than one, and the term scales by p², which is
+// p·Σ w_h(μ_h − μ)²/m with μ the cells' weighted mean.
+func PilotWeightVariance(strata []Stratum, m int64) float64 {
+	var sum, wsum float64
+	for _, s := range strata {
+		sum += s.Weight * s.Mean
+		wsum += s.Weight
+	}
+	if wsum == 0 || m <= 0 {
+		return 0
+	}
+	mu := sum / wsum
+	var v float64
+	for _, s := range strata {
+		d := s.Mean - mu
+		v += s.Weight * d * d
+	}
+	return wsum * v / float64(m)
+}

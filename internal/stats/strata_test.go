@@ -3,6 +3,8 @@ package stats
 import (
 	"math"
 	"testing"
+
+	"samplecf/internal/rng"
 )
 
 // TestStratifiedSingleStratumPassthrough pins the one-shard contract: a
@@ -84,5 +86,56 @@ func TestStratifiedEmptyAndZeroWeight(t *testing.T) {
 	}
 	if got := StratifiedSD(zero); got != 0 {
 		t.Errorf("StratifiedSD(zero weights) = %v", got)
+	}
+}
+
+// TestStratifiedPilotWeightVariance checks the estimated-weights term
+// against a simulation of the multinomial pilot it models, and its
+// scaling when the strata are one shard's cells: weights summing to a
+// share p scale the term by p².
+func TestStratifiedPilotWeightVariance(t *testing.T) {
+	w := []float64{0.2, 0.5, 0.3}
+	mu := []float64{0.1, 0.4, 0.9}
+	strata := make([]Stratum, len(w))
+	for h := range w {
+		strata[h] = Stratum{Weight: w[h], Mean: mu[h]}
+	}
+	const m = 400
+	got := PilotWeightVariance(strata, m)
+
+	// Simulate ŵ_h = m_h/m over many pilots; the variance of Σ ŵ_h·μ_h
+	// must match the closed form within sampling error.
+	g := rng.New(3)
+	const trials = 20000
+	var sum, sumSq float64
+	for i := 0; i < trials; i++ {
+		var est float64
+		for j := 0; j < m; j++ {
+			u, h := g.Float64(), 0
+			for h < len(w)-1 && u >= w[h] {
+				u -= w[h]
+				h++
+			}
+			est += mu[h] / m
+		}
+		sum += est
+		sumSq += est * est
+	}
+	mean := sum / trials
+	sim := sumSq/trials - mean*mean
+	if math.Abs(sim-got)/got > 0.05 {
+		t.Errorf("closed form %v, simulated %v", got, sim)
+	}
+
+	const p = 0.25
+	cells := make([]Stratum, len(strata))
+	for h, s := range strata {
+		cells[h] = Stratum{Weight: p * s.Weight, Mean: s.Mean}
+	}
+	if scaled := PilotWeightVariance(cells, m); math.Abs(scaled-p*p*got) > 1e-15 {
+		t.Errorf("shard cells: %v, want p²·%v = %v", scaled, got, p*p*got)
+	}
+	if v := PilotWeightVariance(strata[:1], m); v > 1e-30 {
+		t.Errorf("a single stratum's weight is certain, got variance %v", v)
 	}
 }

@@ -424,8 +424,8 @@ func (a *RecordArena) ProjectTo(dst *RecordArena, proj []int) error {
 // columns' byte ranges concatenated in projection order; the projected key
 // is the same bytes with each integer column's sign bit flipped. Both equal
 // byte for byte what EncodeRecord and EncodeKey produce for the projected
-// Row, which is what lets full-table readers (stratum directories,
-// ground-truth scans) work straight off a record store.
+// Row, which is what lets row readers (stratum routing, ground-truth
+// scans) work straight off a record store.
 type Projection struct {
 	spans   []span // source byte ranges in output order, adjacent ranges merged
 	intOffs []int  // sign-byte offsets of integer columns in the output
