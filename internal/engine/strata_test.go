@@ -225,11 +225,10 @@ func TestStratifiedValidation(t *testing.T) {
 // TestRoutedStratifiedDeterministic pins that routed stratified draws are a
 // function of the request alone: a stratified adaptive ask returns the same
 // Estimate, Rounds and AchievedError at GOMAXPROCS 1 and, repeated, at 4
-// (over several seeds, so that an order-dependent float sum shows), and
-// under 16 concurrent identical asks — each on its own engine, so no
-// flight coalesces them and every ask builds its own partition and
-// routers over the shared table. Run under -race it also checks the
-// routers' locking.
+// over several seeds, and under 16 concurrent identical asks — each on its
+// own engine, so no flight coalesces them and every ask builds its own
+// partition and routers over the shared table. Run under -race it also
+// checks the routers' locking.
 func TestRoutedStratifiedDeterministic(t *testing.T) {
 	d := db.New(0)
 	tables := map[string]Table{
@@ -261,7 +260,7 @@ func TestRoutedStratifiedDeterministic(t *testing.T) {
 						a.Estimate.CF, a.AchievedError, a.Rounds, a.Estimate.SampleRows)
 				}
 			}
-			prev := runtime.GOMAXPROCS(0)
+			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 			for seed := uint64(1); seed <= 6; seed++ {
 				runtime.GOMAXPROCS(1)
 				one := ask(seed)
@@ -270,7 +269,6 @@ func TestRoutedStratifiedDeterministic(t *testing.T) {
 					same(fmt.Sprintf("seed %d at GOMAXPROCS 4", seed), one, ask(seed))
 				}
 			}
-			runtime.GOMAXPROCS(prev)
 
 			one := ask(13)
 			if one.Rounds < 2 {
