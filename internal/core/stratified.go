@@ -553,11 +553,14 @@ func AdaptiveEstimateStratified(arms []StratumArm, round0 []int64, target Precis
 // Without pilot arms it is stats.StratifiedSD exactly.
 func composedSD(loops []*armLoop, strata []stats.Stratum) float64 {
 	var wsum, v float64
-	seen := make(map[int]bool)
+	var seen map[int]bool // nil until a pilot arm shows: exact weights allocate nothing
 	for i, l := range loops {
 		wsum += strata[i].Weight
 		if l.arm.Pilot == 0 || seen[l.arm.Group] {
 			continue
+		}
+		if seen == nil {
+			seen = make(map[int]bool)
 		}
 		seen[l.arm.Group] = true
 		var group []stats.Stratum
