@@ -218,7 +218,9 @@ type StratumArm struct {
 	// (ŵ_h = m_h/m, times the shard's exact share on a partitioned
 	// table); 0 when Weight is exact. Arms whose weights one pilot
 	// estimated share a Group, and the composed variance gains that
-	// pilot's term (stats.PilotWeightVariance).
+	// pilot's term (stats.PilotWeightVariance). A Group's arms are
+	// consecutive in an arm set and share Pilot: each table or shard
+	// appends its arms as one run, and dropping arms keeps the order.
 	Pilot int64
 	Group int
 	// Rows is the arm's population size N_h (estimated as ŵ_h·N when
@@ -548,28 +550,24 @@ func AdaptiveEstimateStratified(arms []StratumArm, round0 []int64, target Precis
 
 // composedSD is the stratified mean's SD over the live arms: the strata's
 // independent sampling variance Σ w_h²σ_h², plus each weight pilot's term
-// for the arms whose weights it estimated, over (Σ w_h)². Pilot terms add
-// in the order their groups first appear, so the sum is reproducible.
-// Without pilot arms it is stats.StratifiedSD exactly.
+// for the run of arms whose weights it estimated (a Group's arms are
+// consecutive), over (Σ w_h)². Without pilot arms it is
+// stats.StratifiedSD exactly.
 func composedSD(loops []*armLoop, strata []stats.Stratum) float64 {
 	var wsum, v float64
-	var seen map[int]bool // nil until a pilot arm shows: exact weights allocate nothing
-	for i, l := range loops {
-		wsum += strata[i].Weight
-		if l.arm.Pilot == 0 || seen[l.arm.Group] {
-			continue
+	for i := 0; i < len(loops); {
+		a := loops[i].arm
+		j := i + 1
+		for j < len(loops) && loops[j].arm.Group == a.Group {
+			j++
 		}
-		if seen == nil {
-			seen = make(map[int]bool)
+		if a.Pilot > 0 {
+			v += stats.PilotWeightVariance(strata[i:j], a.Pilot)
 		}
-		seen[l.arm.Group] = true
-		var group []stats.Stratum
-		for j := i; j < len(loops); j++ {
-			if loops[j].arm.Pilot > 0 && loops[j].arm.Group == l.arm.Group {
-				group = append(group, strata[j])
-			}
+		for _, st := range strata[i:j] {
+			wsum += st.Weight
 		}
-		v += stats.PilotWeightVariance(group, l.arm.Pilot)
+		i = j
 	}
 	sd := stats.StratifiedSD(strata)
 	if v == 0 || wsum == 0 {

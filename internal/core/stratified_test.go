@@ -11,7 +11,6 @@ import (
 	"samplecf/internal/obs"
 	"samplecf/internal/rng"
 	"samplecf/internal/sampling"
-	"samplecf/internal/stats"
 	"samplecf/internal/value"
 )
 
@@ -385,33 +384,6 @@ func TestStratifiedAdaptiveBudgetHolds(t *testing.T) {
 		}
 		if res.Estimate.SampleRows != drawn {
 			t.Errorf("trial %d: estimate covers %d rows, arms drew %d", trial, res.Estimate.SampleRows, drawn)
-		}
-	}
-}
-
-// TestComposedSDReproducible pins that the pilot terms of several groups
-// (shards) add in one fixed order: float addition is not associative, so
-// an order that changed between rounds or runs would change
-// AchievedError in its last bits. The groups' terms here are one large
-// and several just under half an ulp of it, which only an order-stable
-// sum reproduces.
-func TestComposedSDReproducible(t *testing.T) {
-	var loops []*armLoop
-	var strata []stats.Stratum
-	add := func(group int, weight, mean float64) {
-		loops = append(loops, &armLoop{arm: &StratumArm{Weight: weight, Pilot: 1, Group: group}})
-		strata = append(strata, stats.Stratum{Weight: weight, Mean: mean})
-	}
-	add(0, 0.5, 0)
-	add(0, 0.5, 1)
-	for g := 1; g <= 6; g++ {
-		add(g, 0.25, 0)
-		add(g, 0.25, 1.6e-8)
-	}
-	want := composedSD(loops, strata)
-	for i := 0; i < 200; i++ {
-		if got := composedSD(loops, strata); got != want {
-			t.Fatalf("call %d: composed SD %v, first call %v", i, got, want)
 		}
 	}
 }

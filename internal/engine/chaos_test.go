@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"samplecf/internal/compress"
 	"samplecf/internal/db"
 	"samplecf/internal/faults"
 	"samplecf/internal/stats"
@@ -51,8 +52,13 @@ func chaosEngine(t *testing.T, cfg Config) *Engine {
 // TestChaosEveryPointErrorAndPanic proves every registered injection
 // point has both error and panic coverage on the serving path: a
 // persistent fault at each point fails a scattered request with an error
-// that identifies itself as injected — never a crashed process — and
-// panics additionally land in the recovery ledger.
+// that identifies itself as injected — never a crashed process or a hung
+// ask — and panics additionally land in the recovery ledger. Each point
+// is driven twice: through a fixed-r scatter, and (".../strata=4")
+// through an adaptive ask whose shard×stratum arms share one router per
+// shard, with the partitions built before the fault is armed so that it
+// lands on the routed stream; a panic there must release the router, so
+// the retry and the next ask proceed.
 func TestChaosEveryPointErrorAndPanic(t *testing.T) {
 	wantPoints := []string{"compress.encode", "engine.scatter", "heap.scan", "sampling.draw"}
 	got := faults.Points()
@@ -69,37 +75,81 @@ func TestChaosEveryPointErrorAndPanic(t *testing.T) {
 	}
 	for _, point := range wantPoints {
 		for _, kind := range []string{"err", "panic"} {
-			t.Run(point+"/"+kind, func(t *testing.T) {
-				armChaos(t, point+":"+kind+"@1+", 1)
-				// Snapshots off so row reads go through the heap scan
-				// path where heap.scan is consulted.
-				d := db.New(0, db.WithSnapshots(false))
-				st := liveShardedTable(t, d, "t", 2, 500)
-				e := chaosEngine(t, Config{Workers: 2})
-				res := e.Estimate(context.Background(), Request{
-					Table: st, Codec: mustCodec(t), KeyColumns: []string{"city"},
-					SampleRows: 100, Seed: 7, FreshSample: true,
-				})
-				if res.Err == nil {
-					t.Fatalf("persistent %s fault at %s produced no error", kind, point)
+			for _, strata := range []int{0, 4} {
+				name := point + "/" + kind
+				if strata > 0 {
+					name += fmt.Sprintf("/strata=%d", strata)
 				}
-				if !errors.Is(res.Err, faults.ErrInjected) {
-					t.Errorf("error does not match faults.ErrInjected: %v", res.Err)
-				}
-				if kind == "panic" {
-					// The panic is converted at whichever recovery trap
-					// is closest (engine fan-outs count PanicsRecovered;
-					// the page-encode workgroup recovers in place) — what
-					// matters is that it surfaced as a typed error, not a
-					// crashed process.
-					var pe *faults.PanicError
-					if !errors.As(res.Err, &pe) {
-						t.Errorf("panic not surfaced as *faults.PanicError: %v", res.Err)
-					} else if pe.Point != point || len(pe.Stack) == 0 {
-						t.Errorf("PanicError point %q stack %d bytes, want %q with stack", pe.Point, len(pe.Stack), point)
+				t.Run(name, func(t *testing.T) {
+					// Snapshots off so row reads go through the heap
+					// scan path where heap.scan is consulted.
+					d := db.New(0, db.WithSnapshots(false))
+					st := liveShardedTable(t, d, "t", 2, 500)
+					e := chaosEngine(t, Config{Workers: 2})
+					req := Request{
+						Table: st, Codec: mustCodec(t), KeyColumns: []string{"city"},
+						SampleRows: 100, Seed: 7, FreshSample: true,
 					}
-				}
-			})
+					if strata > 0 {
+						warm := req
+						warm.Strata = strata
+						if res := e.Estimate(context.Background(), warm); res.Err != nil {
+							t.Fatal(res.Err)
+						}
+						req.SampleRows, req.TargetError, req.Strata, req.Seed = 0, 0.05, strata, 8
+					}
+					armChaos(t, point+":"+kind+"@1+", 1)
+					res := estimateWithin(t, e, req, 10*time.Second)
+					checkInjected(t, point, kind, res)
+					if strata > 0 {
+						faults.Disarm()
+						req.Seed = 9
+						if res := estimateWithin(t, e, req, 10*time.Second); res.Err != nil {
+							t.Errorf("ask after the fault cleared failed: %v", res.Err)
+						}
+					}
+				})
+			}
+		}
+	}
+}
+
+// estimateWithin runs one ask and fails the test if it has not returned
+// within limit: a fault that leaves a lock held shows up as a hang.
+func estimateWithin(t *testing.T, e *Engine, req Request, limit time.Duration) Result {
+	t.Helper()
+	done := make(chan Result, 1)
+	go func() { done <- e.Estimate(context.Background(), req) }()
+	select {
+	case res := <-done:
+		return res
+	case <-time.After(limit):
+		t.Fatalf("ask did not return within %v", limit)
+		return Result{}
+	}
+}
+
+// checkInjected requires res to have failed with the injected fault at
+// point — as a *faults.PanicError carrying its stack when kind is panic.
+func checkInjected(t *testing.T, point, kind string, res Result) {
+	t.Helper()
+	if res.Err == nil {
+		t.Fatalf("persistent %s fault at %s produced no error", kind, point)
+	}
+	if !errors.Is(res.Err, faults.ErrInjected) {
+		t.Errorf("error does not match faults.ErrInjected: %v", res.Err)
+	}
+	if kind == "panic" {
+		// The panic is converted at whichever recovery trap
+		// is closest (engine fan-outs count PanicsRecovered;
+		// the page-encode workgroup recovers in place) — what
+		// matters is that it surfaced as a typed error, not a
+		// crashed process.
+		var pe *faults.PanicError
+		if !errors.As(res.Err, &pe) {
+			t.Errorf("panic not surfaced as *faults.PanicError: %v", res.Err)
+		} else if pe.Point != point || len(pe.Stack) == 0 {
+			t.Errorf("PanicError point %q stack %d bytes, want %q with stack", pe.Point, len(pe.Stack), point)
 		}
 	}
 }
@@ -303,28 +353,64 @@ func TestChaosAdaptiveDegraded(t *testing.T) {
 }
 
 // TestChaosAdaptiveTransientHealsByRetry proves the grow hook's retry:
-// a fault that fires only on shard 1's first extension is retried with
-// backoff, and the adaptive sharded ask converges undegraded — to the
-// fault-free answer, whether each shard is one arm (Strata 0) or routes
-// its stream to shard×stratum arms (Strata 4): a failed attempt takes no
-// routed rows, so the retry takes the rows the first attempt would have.
+// a fault that fires only once during the ask is retried with backoff,
+// and the adaptive sharded ask converges undegraded — to the fault-free
+// answer, whether each shard is one arm (Strata 0) or routes its stream
+// to shard×stratum arms (Strata 4). The fault is either shard 1's first
+// extension failing before it routes, or a heap read failing part-way
+// through routing or gathering a shard's stream (snapshots off, so rows
+// are read through the heap scan): a failed attempt takes no routed rows
+// and leaves the stream where it was, so the retry takes the rows the
+// first attempt would have.
 func TestChaosAdaptiveTransientHealsByRetry(t *testing.T) {
-	for _, strata := range []int{0, 4} {
-		t.Run(fmt.Sprintf("strata=%d", strata), func(t *testing.T) {
-			d := db.New(0)
+	cases := []struct {
+		name     string
+		strata   int
+		schedule string
+		key      string
+		codec    string
+	}{
+		{"strata=0", 0, "engine.scatter[1]:err@1", "city", "nullsuppression"},
+		{"strata=4", 4, "engine.scatter[1]:err@1", "city", "nullsuppression"},
+		// Huffman over seq: a CF that moves with every row drawn.
+		{"strata=4/heap.scan", 4, "heap.scan:err@40", "seq", "huffman"},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			var opts []db.Option
+			if strings.HasPrefix(c.schedule, "heap.scan") {
+				opts = append(opts, db.WithSnapshots(false))
+			}
+			d := db.New(0, opts...)
 			st := liveShardedTable(t, d, "t", 3, 1000)
-			req := Request{Table: st, Codec: mustCodec(t), KeyColumns: []string{"city"},
-				Seed: 11, TargetError: 0.05, Strata: strata}
+			codec, err := compress.Lookup(c.codec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			req := Request{Table: st, Codec: codec, KeyColumns: []string{c.key},
+				Seed: 11, TargetError: 0.05, Strata: c.strata}
 			want := chaosEngine(t, Config{Workers: 2}).Estimate(context.Background(), req)
 			if want.Err != nil {
 				t.Fatal(want.Err)
 			}
 
-			armChaos(t, "engine.scatter[1]:err@1", 1)
 			e := chaosEngine(t, Config{Workers: 2})
+			if c.strata > 0 {
+				// Build the partitions first, so the fault lands on the
+				// ask's routed streams rather than on a weight pilot.
+				warm := req
+				warm.TargetError, warm.SampleRows, warm.FreshSample = 0, 100, true
+				if res := e.Estimate(context.Background(), warm); res.Err != nil {
+					t.Fatal(res.Err)
+				}
+			}
+			armChaos(t, c.schedule, 1)
 			res := e.Estimate(context.Background(), req)
 			if res.Err != nil {
 				t.Fatalf("transient fault was not healed: %v", res.Err)
+			}
+			if len(faults.Fired()) == 0 {
+				t.Fatal("the fault never fired")
 			}
 			if res.Degraded || !res.Converged {
 				t.Errorf("Degraded=%v Converged=%v, want a converged whole answer", res.Degraded, res.Converged)
@@ -337,6 +423,29 @@ func TestChaosAdaptiveTransientHealsByRetry(t *testing.T) {
 				t.Errorf("healed answer CF %v ± %v (%d rows, %d rounds) != fault-free CF %v ± %v (%d rows, %d rounds)",
 					res.Estimate.CF, res.AchievedError, res.Estimate.SampleRows, res.Rounds,
 					want.Estimate.CF, want.AchievedError, want.Estimate.SampleRows, want.Rounds)
+			}
+		})
+	}
+}
+
+// TestChaosPartitionBuildFailureNotCached proves a failed partition build
+// (weight pilot or boundaries) is not served to later asks: a persistent
+// heap-read fault, error or panic, fails a cold stratified ask while it
+// lasts, and once it clears the next ask rebuilds the partition and
+// answers.
+func TestChaosPartitionBuildFailureNotCached(t *testing.T) {
+	for _, kind := range []string{"err", "panic"} {
+		t.Run(kind, func(t *testing.T) {
+			d := db.New(0, db.WithSnapshots(false))
+			st := liveShardedTable(t, d, "t", 2, 500)
+			e := chaosEngine(t, Config{Workers: 2})
+			req := Request{Table: st, Codec: mustCodec(t), KeyColumns: []string{"city"},
+				SampleRows: 100, Seed: 7, FreshSample: true, Strata: 4}
+			armChaos(t, "heap.scan:"+kind+"@1+", 1)
+			checkInjected(t, "heap.scan", kind, estimateWithin(t, e, req, 10*time.Second))
+			faults.Disarm()
+			if res := estimateWithin(t, e, req, 10*time.Second); res.Err != nil {
+				t.Fatalf("ask after the fault cleared failed: %v", res.Err)
 			}
 		})
 	}

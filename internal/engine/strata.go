@@ -37,6 +37,7 @@ import (
 	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"samplecf/internal/catalog"
@@ -60,11 +61,13 @@ type partKey struct {
 
 // partEntry is one partition build (boundaries plus weight pilot), shared
 // once-style by every request that resolves the same key while the entry
-// is resident in Engine.partitions.
+// is resident in Engine.partitions. A build that failed stays only until
+// the next request resolves the key, which replaces it and builds anew.
 type partEntry struct {
-	once sync.Once
-	part *core.Partition
-	err  error
+	once   sync.Once
+	part   *core.Partition
+	err    error
+	failed atomic.Bool // set once err is
 }
 
 // resolveBounds picks the cheapest available boundary source for one table:
@@ -110,10 +113,22 @@ func (e *Engine) tableArms(ctx context.Context, tab Table, epoch uint64, keyCols
 	e.partitions.Put(partKey{
 		inst: tab.InstanceID(), epoch: epoch,
 		columns: strings.Join(keyCols, "\x00"), strata: strata,
-	}, ent, func(resident *partEntry) bool { ent = resident; return true })
+	}, ent, func(resident *partEntry) bool {
+		if resident.failed.Load() {
+			return false
+		}
+		ent = resident
+		return true
+	})
 	ent.once.Do(func() {
 		_, end := obs.StartSpan(ctx, stageDraw)
 		defer end.End()
+		defer func() {
+			if ent.err != nil {
+				ent.failed.Store(true)
+			}
+		}()
+		defer e.trapShardPanic(&ent.err)
 		e.strataDirBuilds.Add(1)
 		bounds, err := e.resolveBounds(tab, epoch, keyCols, strata)
 		if err != nil {

@@ -115,7 +115,6 @@ type Router struct {
 	drawn    int64      // stream rows drawn so far
 	queues   [][]routed // per stratum: routed rows not yet taken, in stream order
 	reach    []int64    // per stratum: stream rows its takes have searched
-	err      error      // a failed row fetch stops the stream for good
 	key, rec []byte     // scratch
 }
 
@@ -141,11 +140,27 @@ func NewRouter(src RowSource, schema *value.Schema, ks *KeyStrata, keyOf func(bu
 }
 
 // route draws count more stream rows and queues each under its stratum.
-// The caller holds r.mu.
+// The caller holds r.mu. A failed or panicking row fetch leaves the
+// router as route found it — generator, stream position and queues — so
+// a retry draws the same rows; the draws it made still count in
+// sampling's rows-drawn metric.
 func (r *Router) route(count int64) error {
-	if r.err != nil {
-		return r.err
-	}
+	start, g := r.drawn, *r.g
+	done := false
+	defer func() {
+		metricRowsDrawn.Add(uint64(r.drawn - start))
+		if done {
+			return
+		}
+		*r.g, r.drawn = g, start
+		for h, q := range r.queues {
+			k := len(q)
+			for k > 0 && q[k-1].pos >= start {
+				k--
+			}
+			r.queues[h] = q[:k]
+		}
+	}()
 	n, w := r.src.NumRows(), int64(r.schema.RowWidth())
 	for k := int64(0); k < count; k++ {
 		i := r.g.Int63n(n)
@@ -159,9 +174,7 @@ func (r *Router) route(count int64) error {
 					r.rec, err = value.EncodeRecord(r.schema, row, r.rec[:0])
 				}
 				if err != nil {
-					r.err = fmt.Errorf("sampling: row fetch: %w", err)
-					metricRowsDrawn.Add(uint64(k))
-					return r.err
+					return fmt.Errorf("sampling: row fetch: %w", err)
 				}
 				r.key = r.keyOf(r.key[:0], r.rec)
 			}
@@ -170,7 +183,7 @@ func (r *Router) route(count int64) error {
 		r.queues[s] = append(r.queues[s], routed{pos: r.drawn, row: i})
 		r.drawn++
 	}
-	metricRowsDrawn.Add(uint64(count))
+	done = true
 	return nil
 }
 
@@ -195,8 +208,8 @@ func (r *Router) Tally(m int64) ([]int64, error) {
 // searching at most maxScan (> 0) stream rows past those stratum h's
 // earlier takes searched. It appends fewer than extra rows only when the
 // cap is reached, and fails when the cap yields none. The rows leave the
-// queue only when their gather succeeds, so a failed call retried returns
-// the same rows.
+// queue only when their gather succeeds, and a failed routing draw is
+// undone, so a failed call retried returns the same rows.
 func (r *Router) ExtendInto(h int, ar *value.RecordArena, extra, maxScan int64) error {
 	if err := drawPoint.Check(); err != nil {
 		return err
@@ -210,15 +223,35 @@ func (r *Router) ExtendInto(h int, ar *value.RecordArena, extra, maxScan int64) 
 	if extra == 0 {
 		return nil
 	}
+	rows, reach, err := r.peek(h, extra, maxScan)
+	if err != nil {
+		return err
+	}
+	if len(rows) == 0 {
+		return fmt.Errorf("sampling: stratum %d: no row in %d stream draws", h, maxScan)
+	}
+	next := 0
+	if err := gatherRows(r.src, ar, int64(len(rows)), func() int64 { next++; return rows[next-1] }); err != nil {
+		return err
+	}
+	r.consume(h, len(rows), reach)
+	return nil
+}
+
+// peek returns the row indexes of up to extra queued rows of stratum h,
+// routing at most maxScan stream rows past reach[h] to find them, and the
+// reach a take of exactly those rows leaves behind. The queue is left as
+// it is.
+func (r *Router) peek(h int, extra, maxScan int64) ([]int64, int64, error) {
 	r.mu.Lock()
+	defer r.mu.Unlock()
 	limit := int64(math.MaxInt64)
 	if r.reach[h] < limit-maxScan {
 		limit = r.reach[h] + maxScan
 	}
 	for int64(len(r.queues[h])) < extra && r.drawn < limit {
 		if err := r.route(min(extra-int64(len(r.queues[h])), limit-r.drawn)); err != nil {
-			r.mu.Unlock()
-			return err
+			return nil, 0, err
 		}
 	}
 	// Rows other strata's draws queued at or past the cap belong to this
@@ -233,19 +266,16 @@ func (r *Router) ExtendInto(h int, ar *value.RecordArena, extra, maxScan int64) 
 	for i := range rows {
 		rows[i] = q[i].row
 	}
-	r.mu.Unlock()
-	if k == 0 {
-		return fmt.Errorf("sampling: stratum %d: no row in %d stream draws", h, maxScan)
-	}
-	next := 0
-	if err := gatherRows(r.src, ar, k, func() int64 { next++; return rows[next-1] }); err != nil {
-		return err
-	}
+	return rows, reach, nil
+}
+
+// consume drops the first k rows of stratum h's queue after a take of
+// them succeeded.
+func (r *Router) consume(h, k int, reach int64) {
 	r.mu.Lock()
+	defer r.mu.Unlock()
 	r.queues[h] = r.queues[h][k:]
 	r.reach[h] = reach
-	r.mu.Unlock()
-	return nil
 }
 
 // Allocate splits a total sample size across strata in proportion to

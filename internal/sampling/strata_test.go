@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"strings"
 	"testing"
+	"time"
 
 	"samplecf/internal/obs"
 	"samplecf/internal/rng"
@@ -268,6 +269,87 @@ func (f *failingSource) Row(i int64) (value.Row, error) {
 		return nil, fmt.Errorf("row %d unavailable", i)
 	}
 	return f.RowSource.Row(i)
+}
+
+// faultAtSource fails its at-th Row call (counting from 1), once: with
+// an error, or with a panic when panics is set.
+type faultAtSource struct {
+	RowSource
+	at, calls int
+	panics    bool
+}
+
+func (f *faultAtSource) Row(i int64) (value.Row, error) {
+	f.calls++
+	if f.calls == f.at {
+		if f.panics {
+			panic(fmt.Sprintf("row %d unreadable", i))
+		}
+		return nil, fmt.Errorf("row %d unavailable", i)
+	}
+	return f.RowSource.Row(i)
+}
+
+// TestRoutedFailedRouteRetries checks that a row fetch failing part-way
+// through routing — by an error or a panic — leaves the router as it was:
+// the lock is free, the stream rewinds, and the retried take and every
+// later one return the rows a fault-free router returns.
+func TestRoutedFailedRouteRetries(t *testing.T) {
+	src, schema := resumableRows(t, 1000)
+	ks := rowBounds(t, src, schema, 500)
+	takes := func(rt *Router) ([][]byte, error) {
+		var out [][]byte
+		for _, h := range []int{0, 1, 0} {
+			ar := value.NewRecordArena(schema, 0)
+			if err := rt.ExtendInto(h, ar, 60, 1<<20); err != nil {
+				return nil, err
+			}
+			out = append(out, ar.Recs())
+		}
+		return out, nil
+	}
+	want, err := takes(newRouter(t, src, schema, ks, 3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, panics := range []bool{false, true} {
+		t.Run(fmt.Sprintf("panics=%v", panics), func(t *testing.T) {
+			flaky := &faultAtSource{RowSource: src, at: 40, panics: panics}
+			rt := newRouter(t, flaky, schema, ks, 3)
+			func() {
+				defer func() {
+					if r := recover(); (r != nil) != panics {
+						t.Fatalf("recovered %v, want a panic: %v", r, panics)
+					}
+				}()
+				if err := rt.ExtendInto(0, value.NewRecordArena(schema, 0), 60, 1<<20); err == nil && !panics {
+					t.Fatal("a failing row fetch did not fail the take")
+				}
+			}()
+			type result struct {
+				recs [][]byte
+				err  error
+			}
+			done := make(chan result, 1)
+			go func() {
+				recs, err := takes(rt)
+				done <- result{recs, err}
+			}()
+			select {
+			case got := <-done:
+				if got.err != nil {
+					t.Fatalf("the retried take failed: %v", got.err)
+				}
+				for i := range want {
+					if !bytes.Equal(got.recs[i], want[i]) {
+						t.Errorf("take %d after the failed one returned different rows", i)
+					}
+				}
+			case <-time.After(10 * time.Second):
+				t.Fatal("the router stayed locked after the failed take")
+			}
+		})
+	}
 }
 
 // TestRoutedStratumUniformChiSquared is the property test of routing:
