@@ -142,10 +142,16 @@ func normalizeName(r result) string {
 // though, so there the ending counts as the suffix only when every line of
 // the same family (top-level benchmark, same package) ends in the same
 // "-N": "BenchmarkHotShardCacheHit/sharded-4" beside an "unsharded"
-// sibling ran at procs 1. (Under a multi-value -cpu list a sub-benchmark
-// family mixes endings and is recorded at procs 1.)
+// sibling ran at procs 1. Under a multi-value -cpu list the family mixes
+// endings; there a line's "-N" is the suffix when the name without it is
+// also a line of the package: "sharded-4-2" beside "sharded-4", or
+// "unsharded-4" beside "unsharded", ran at procs N.
 func markProcs(results []result) {
 	type family struct{ pkg, name string }
+	lines := make(map[family]bool, len(results))
+	for _, r := range results {
+		lines[family{r.Package, r.Name}] = true
+	}
 	familyOf := func(r result) family {
 		top, _, _ := strings.Cut(r.Name, "/")
 		return family{r.Package, trailingNumber.ReplaceAllString(top, "")}
@@ -172,7 +178,8 @@ func markProcs(results []result) {
 		r := &results[i]
 		r.Procs = 1
 		e := ending(*r)
-		if e == "" || (strings.Contains(r.Name, "/") && shared[familyOf(*r)] != e) {
+		if e == "" || (strings.Contains(r.Name, "/") && shared[familyOf(*r)] != e &&
+			!lines[family{r.Package, strings.TrimSuffix(r.Name, "-"+e)}]) {
 			continue
 		}
 		if p, err := strconv.Atoi(e); err == nil && p > 0 {

@@ -184,6 +184,26 @@ func TestParseProcsNumberedSubBenchmark(t *testing.T) {
 			"BenchmarkHotShardCacheHit/sharded-4  100  157561 ns/op\n",
 		wantProcs: []int{2, 1, 1},
 		wantKeys:  []string{"BenchmarkCacheHit", "BenchmarkHotShardCacheHit/unsharded", "BenchmarkHotShardCacheHit/sharded-4"},
+	}, {
+		name: "cpu 1,2",
+		input: "pkg: samplecf/internal/engine\n" +
+			"BenchmarkHotShardCacheHit/unsharded  100  540688 ns/op\n" +
+			"BenchmarkHotShardCacheHit/sharded-4  100  157561 ns/op\n" +
+			"BenchmarkHotShardCacheHit/unsharded-2  100  300000 ns/op\n" +
+			"BenchmarkHotShardCacheHit/sharded-4-2  100  90000 ns/op\n",
+		wantProcs: []int{1, 1, 2, 2},
+		wantKeys: []string{"BenchmarkHotShardCacheHit/unsharded", "BenchmarkHotShardCacheHit/sharded-4",
+			"BenchmarkHotShardCacheHit/unsharded", "BenchmarkHotShardCacheHit/sharded-4"},
+	}, {
+		name: "cpu 1,4",
+		input: "pkg: samplecf/internal/engine\n" +
+			"BenchmarkHotShardCacheHit/unsharded  100  540688 ns/op\n" +
+			"BenchmarkHotShardCacheHit/sharded-4  100  157561 ns/op\n" +
+			"BenchmarkHotShardCacheHit/unsharded-4  100  200000 ns/op\n" +
+			"BenchmarkHotShardCacheHit/sharded-4-4  100  60000 ns/op\n",
+		wantProcs: []int{1, 1, 4, 4},
+		wantKeys: []string{"BenchmarkHotShardCacheHit/unsharded", "BenchmarkHotShardCacheHit/sharded-4",
+			"BenchmarkHotShardCacheHit/unsharded", "BenchmarkHotShardCacheHit/sharded-4"},
 	}}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

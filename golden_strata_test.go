@@ -1,11 +1,10 @@
 // Golden equivalence for stratification: Strata=1 is the degenerate
 // configuration and must be *byte-identical* to the unstratified path —
 // same sample draw, same sorted arena, same compressed size — for every
-// pinned golden case the engine can serve. Strata=1 is one whole-table
-// stream at the request seed (core.TableArm: no router, no pilot), and a
-// one-arm merge passes the estimate through verbatim, so any drift here
-// means the stratified path changed estimator semantics, not just
-// performance.
+// pinned golden case the engine can serve. One stratum is no
+// stratification: the engine rewrites Strata 1 to 0 after validation, so
+// the ask takes the plain route, and any drift here means that rewrite
+// (or the plain route) changed estimator semantics, not just performance.
 package samplecf_test
 
 import (

@@ -285,8 +285,8 @@ func SampleCFAdaptive(src sampling.RowSource, schema *value.Schema, opts Options
 	if r0 > target.MaxSampleRows {
 		r0 = target.MaxSampleRows
 	}
-	if opts.Strata > 0 {
-		return sampleCFAdaptiveStratified(src, schema, opts, target, r0)
+	if opts.Strata > 1 {
+		return sampleCFStratified(src, schema, opts, target, r0)
 	}
 
 	drawRound := func(round int, rows int64) (*value.RecordArena, error) {

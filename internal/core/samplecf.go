@@ -93,9 +93,8 @@ type Options struct {
 	// Strata contiguous memcomparable-key ranges (index-assisted when the
 	// source exposes IndexBoundarySource, pilot-based otherwise), each
 	// range sampled by its own stream, and the per-stratum estimates
-	// composed by stratified mean and variance. 0 disables; 1 is the
-	// degenerate single stratum, byte-identical to the unstratified draw.
-	// Requires MethodUniformWR.
+	// composed by stratified mean and variance. 0 and 1 both mean
+	// unstratified: the plain route serves them. Requires MethodUniformWR.
 	Strata int
 }
 
@@ -178,8 +177,9 @@ func SampleCF(src sampling.RowSource, schema *value.Schema, opts Options) (Estim
 	if r <= 0 {
 		return Estimate{}, fmt.Errorf("core: sample size is zero (fraction %v)", opts.Fraction)
 	}
-	if opts.Strata > 0 {
-		return sampleCFStratified(src, schema, opts, r)
+	if opts.Strata > 1 {
+		res, err := sampleCFStratified(src, schema, opts, Precision{}, r)
+		return res.Estimate, err
 	}
 
 	g := rng.New(opts.Seed)

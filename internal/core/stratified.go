@@ -8,9 +8,12 @@
 // into per-stratum queues); this file owns the partition (boundaries plus
 // weights estimated by a fixed-seed weight pilot), composition — merged
 // estimates, the composed confidence interval z·√(Σ w_h²σ_h² + pilot
-// term) — and the precision-targeted loop that extends only the strata
-// whose variance contribution dominates. The engine runs a partitioned
-// table's shards through the same loop, as arms.
+// term) — and the arm loop, which extends only the strata whose variance
+// contribution dominates. A fixed-size ask is the loop's round 0 with no
+// target: one fan-out, no refinement, no CI. The engine runs a
+// partitioned table's shards through the same loop, as arms. Strata ≤ 1
+// is no stratification: SampleCF and SampleCFAdaptive take their plain
+// routes.
 //
 // A note on what stratification can and cannot buy: Theorem 1's bound is
 // data-independent — composed across strata at proportional allocation it
@@ -158,9 +161,9 @@ func NewPartition(src sampling.RowSource, schema *value.Schema, keyCols []string
 // RoutedArms builds the arms of one partitioned table: one Router at seed
 // feeds one StratumArm per stratum the weight pilot saw. A stratum the
 // pilot never saw is dropped with weight 0. Arm h's seed is
-// sampling.StreamSeed(seed, h); Draw and Extend both take the next rows of
-// its queue, and one call searches at most routeScan(extra, m_h) stream
-// rows. A single-stratum partition is TableArm: no router, no pilot.
+// sampling.StreamSeed(seed, h); each Extend takes the next rows of its
+// queue, and one call searches at most routeScan(extra, m_h) stream rows.
+// A single-stratum partition is TableArm: no router, no pilot.
 func RoutedArms(src sampling.RowSource, schema *value.Schema, p *Partition, seed uint64) ([]StratumArm, error) {
 	if p.strata.NumStrata() == 1 {
 		return []StratumArm{TableArm(src, schema, p.keyCols, seed)}, nil
@@ -175,21 +178,19 @@ func RoutedArms(src sampling.RowSource, schema *value.Schema, p *Partition, seed
 		if mh == 0 {
 			continue
 		}
-		take := func(rows int64) (*value.RecordArena, error) {
-			full := value.NewRecordArena(schema, int(rows))
-			if err := r.ExtendInto(h, full, rows, routeScan(rows, mh)); err != nil {
-				return nil, err
-			}
-			return ProjectSample(full, p.keyCols)
-		}
 		arms = append(arms, StratumArm{
 			Label:  fmt.Sprintf("stratum %d", h),
 			Weight: float64(mh) / float64(weightPilotRows),
 			Pilot:  weightPilotRows,
 			Rows:   max(1, int64(math.Round(float64(n)*float64(mh)/float64(weightPilotRows)))),
 			Seed:   sampling.StreamSeed(seed, h),
-			Draw:   take,
-			Extend: func(_ int, extra int64) (*value.RecordArena, error) { return take(extra) },
+			Extend: func(_ int, extra int64) (*value.RecordArena, error) {
+				full := value.NewRecordArena(schema, int(extra))
+				if err := r.ExtendInto(h, full, extra, routeScan(extra, mh)); err != nil {
+					return nil, err
+				}
+				return ProjectSample(full, p.keyCols)
+			},
 		})
 	}
 	return arms, nil
@@ -205,9 +206,9 @@ func routeScan(extra, mh int64) int64 {
 
 // StratumArm is one stratum's sampling stream in a stratified estimation —
 // or one shard×stratum cell's, when stratification composes with a shard
-// scatter. Draw serves the fixed-size path (one-shot, the arm's base
-// stream); Extend serves the adaptive path (resumable rounds, round 0
-// included). Both return rows already projected to the index key schema.
+// scatter. Its Extend serves every round, round 0 included, fixed-size
+// and adaptive asks alike, with rows already projected to the index key
+// schema.
 type StratumArm struct {
 	// Label names the arm in errors ("stratum 3", "shard 1/stratum 2").
 	Label string
@@ -229,10 +230,7 @@ type StratumArm struct {
 	// Seed is the arm's stream seed (sampling.StreamSeed of the request
 	// seed); it also decorrelates the arm's bootstrap resamples.
 	Seed uint64
-	// Draw returns a one-shot sample of r rows (fixed-size path).
-	Draw func(r int64) (*value.RecordArena, error)
-	// Extend returns round `round` of the arm's resumable stream
-	// (adaptive path).
+	// Extend returns round `round` of the arm's resumable stream.
 	Extend ExtendFunc
 }
 
@@ -282,77 +280,6 @@ func MergeStratified(weights []float64, ests []Estimate) Estimate {
 	return out
 }
 
-// EstimateStratified runs the fixed-size stratified estimator: each arm
-// draws its allocated rows, prepares and compresses independently (bounded
-// fan-out over the workgroup semaphore), and the per-arm estimates merge by
-// stratified composition.
-func EstimateStratified(arms []StratumArm, alloc []int64, opts Options) (Estimate, error) {
-	if err := opts.Validate(); err != nil {
-		return Estimate{}, err
-	}
-	opts = opts.withDefaults()
-	if opts.Codec == nil {
-		return Estimate{}, fmt.Errorf("core: Options.Codec is required")
-	}
-	if len(arms) == 0 {
-		return Estimate{}, fmt.Errorf("core: stratified estimation needs at least one stratum")
-	}
-	if len(alloc) != len(arms) {
-		return Estimate{}, fmt.Errorf("core: %d allocations for %d strata", len(alloc), len(arms))
-	}
-	ests := make([]Estimate, len(arms))
-	errs := make([]error, len(arms))
-	eval := func(i int) {
-		t0 := time.Now()
-		ar, err := arms[i].Draw(alloc[i])
-		if err != nil {
-			errs[i] = fmt.Errorf("core: %s: %w", arms[i].Label, err)
-			return
-		}
-		sampleDur := time.Since(t0)
-		prep, err := PrepareFromArena(ar, arms[i].Rows, nil)
-		if err != nil {
-			errs[i] = fmt.Errorf("core: %s: %w", arms[i].Label, err)
-			return
-		}
-		armOpts := opts
-		armOpts.Seed = arms[i].Seed
-		est, err := prep.Estimate(armOpts)
-		if err != nil {
-			errs[i] = fmt.Errorf("core: %s: %w", arms[i].Label, err)
-			return
-		}
-		est.SampleDuration = sampleDur
-		ests[i] = est
-	}
-	sem := workgroup.NewSem(workgroup.Limit(len(arms)) - 1)
-	var wg sync.WaitGroup
-	for i := range arms {
-		if sem.TryAcquire() {
-			wg.Add(1)
-			go func(i int) {
-				defer wg.Done()
-				defer sem.Release()
-				defer workgroup.Recover(&errs[i])
-				eval(i)
-			}(i)
-		} else {
-			eval(i)
-		}
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return Estimate{}, err
-		}
-	}
-	weights := make([]float64, len(arms))
-	for i := range arms {
-		weights[i] = arms[i].Weight
-	}
-	return MergeStratified(weights, ests), nil
-}
-
 // ErrArmDropped marks an arm failure the arm's own Extend declares
 // survivable: AdaptiveEstimateStratified drops that arm, composes the
 // survivors (the stratified algebra renormalizes their weights through
@@ -366,7 +293,8 @@ type armLoop struct {
 	idx    int // position in the caller's arm slice
 	arm    *StratumArm
 	prep   *PreparedIndex
-	round  int // next draw round in this arm's stream
+	round  int           // next draw round in this arm's stream
+	drawn  time.Duration // time spent in Extend, reported as SampleDuration
 	est    Estimate
 	sd     float64
 	method string
@@ -394,12 +322,20 @@ func (l *armLoop) contribution() float64 {
 // each: no round takes the total past target.MaxSampleRows unless round 0
 // already did.
 //
+// A zero target.TargetError is a fixed-size ask: the loop runs round 0
+// alone and merges the arms' estimates, with no CI (no SDScale, so no
+// bootstrap), no convergence and no refinement. The result carries
+// Estimate, Rounds = 1 and Dropped.
+//
 // An arm whose Extend fails with ErrArmDropped leaves the loop; the
 // result composes the survivors and lists the dropped arms. The loop fails
 // when every arm is dropped.
 func AdaptiveEstimateStratified(arms []StratumArm, round0 []int64, target Precision, opts Options) (AdaptiveResult, error) {
-	if err := target.Validate(); err != nil {
-		return AdaptiveResult{}, err
+	fixed := target.TargetError == 0
+	if !fixed {
+		if err := target.Validate(); err != nil {
+			return AdaptiveResult{}, err
+		}
 	}
 	if err := opts.Validate(); err != nil {
 		return AdaptiveResult{}, err
@@ -426,7 +362,9 @@ func AdaptiveEstimateStratified(arms []StratumArm, round0 []int64, target Precis
 	// grow draws extra rows from one arm's resumable stream and folds them
 	// into its prepared index (the first call prepares).
 	grow := func(l *armLoop, extra int64) error {
+		t0 := time.Now()
 		proj, err := l.arm.Extend(l.round, extra)
+		l.drawn += time.Since(t0)
 		if err != nil {
 			return err
 		}
@@ -507,15 +445,20 @@ func AdaptiveEstimateStratified(arms []StratumArm, round0 []int64, target Precis
 				if err != nil {
 					return AdaptiveResult{}, fmt.Errorf("core: %s: %w", l.arm.Label, err)
 				}
-				method, sd, err := l.prep.SDScale(armOpts, target, l.round)
-				if err != nil {
-					return AdaptiveResult{}, fmt.Errorf("core: %s: %w", l.arm.Label, err)
+				est.SampleDuration = l.drawn
+				l.est, l.dirty = est, false
+				if !fixed {
+					if l.method, l.sd, err = l.prep.SDScale(armOpts, target, l.round); err != nil {
+						return AdaptiveResult{}, fmt.Errorf("core: %s: %w", l.arm.Label, err)
+					}
 				}
-				l.est, l.method, l.sd, l.dirty = est, method, sd, false
 			}
 			strata[i] = stats.Stratum{Weight: l.arm.Weight, Mean: l.est.CF, SD: l.sd}
 		}
 		res.Rounds++
+		if fixed {
+			break
+		}
 		res.Method = loops[0].method
 		cf = stats.StratifiedMean(strata)
 		half = z * composedSD(loops, strata)
@@ -638,22 +581,16 @@ func extension(loops []*armLoop, remaining int64, capped bool) ([]*armLoop, []in
 }
 
 // TableArm is the single arm of an unstratified source: the whole table as
-// one resumable stream at seed, with no router and no pilot. Its draws are
-// sampling.UniformWRInto and sampling.ExtendWRInto, the unstratified
-// draws, so Strata ≤ 1 stays byte-identical to an unstratified ask.
+// one resumable stream at seed (sampling.ExtendWRInto, the unstratified
+// adaptive draw), with no router and no pilot. It serves each shard of a
+// partitioned table without strata, and a partition whose pilot found
+// one stratum.
 func TableArm(src sampling.RowSource, schema *value.Schema, keyCols []string, seed uint64) StratumArm {
 	return StratumArm{
 		Label:  "table",
 		Weight: 1,
 		Rows:   src.NumRows(),
 		Seed:   seed,
-		Draw: func(r int64) (*value.RecordArena, error) {
-			full := value.NewRecordArena(schema, int(r))
-			if err := sampling.UniformWRInto(src, r, rng.New(seed), full); err != nil {
-				return nil, err
-			}
-			return ProjectSample(full, keyCols)
-		},
 		Extend: func(round int, extra int64) (*value.RecordArena, error) {
 			full := value.NewRecordArena(schema, int(extra))
 			if err := sampling.ExtendWRInto(src, full, extra, seed, round); err != nil {
@@ -662,24 +599,6 @@ func TableArm(src sampling.RowSource, schema *value.Schema, keyCols []string, se
 			return ProjectSample(full, keyCols)
 		},
 	}
-}
-
-// sampleCFStratified is SampleCF's fixed-size stratified route: resolve
-// the routed arms, allocate r proportionally, and run the per-stratum
-// draws.
-func sampleCFStratified(src sampling.RowSource, schema *value.Schema, opts Options, r int64) (Estimate, error) {
-	t0 := time.Now()
-	arms, err := stratifiedArms(src, schema, opts)
-	if err != nil {
-		return Estimate{}, err
-	}
-	partDur := time.Since(t0)
-	est, err := EstimateStratified(arms, sampling.Allocate(r, ArmRows(arms), nil), opts)
-	if err != nil {
-		return Estimate{}, err
-	}
-	est.SampleDuration += partDur
-	return est, nil
 }
 
 // stratifiedArms resolves SampleCF's stratification of src: boundaries
@@ -706,14 +625,19 @@ func ArmRows(arms []StratumArm) []int64 {
 	return out
 }
 
-// sampleCFAdaptiveStratified is SampleCFAdaptive's stratified route: same
-// arm resolution, proportional round-0 allocation (the pilot), then the
-// Neyman-refined adaptive loop.
-func sampleCFAdaptiveStratified(src sampling.RowSource, schema *value.Schema,
+// sampleCFStratified is the stratified route of SampleCF (a zero target:
+// one round) and SampleCFAdaptive: resolve the routed arms, allocate the
+// r0 round-0 rows proportionally (the Neyman pilot of an adaptive ask),
+// and run the arm loop. The partition's build time counts as sampling.
+func sampleCFStratified(src sampling.RowSource, schema *value.Schema,
 	opts Options, target Precision, r0 int64) (AdaptiveResult, error) {
+	t0 := time.Now()
 	arms, err := stratifiedArms(src, schema, opts)
 	if err != nil {
 		return AdaptiveResult{}, err
 	}
-	return AdaptiveEstimateStratified(arms, sampling.Allocate(r0, ArmRows(arms), nil), target, opts)
+	partDur := time.Since(t0)
+	res, err := AdaptiveEstimateStratified(arms, sampling.Allocate(r0, ArmRows(arms), nil), target, opts)
+	res.Estimate.SampleDuration += partDur
+	return res, err
 }

@@ -11,8 +11,10 @@ import (
 	"time"
 
 	"samplecf/internal/compress"
+	"samplecf/internal/core"
 	"samplecf/internal/db"
 	"samplecf/internal/faults"
+	"samplecf/internal/sampling"
 	"samplecf/internal/stats"
 	"samplecf/internal/value"
 )
@@ -54,11 +56,14 @@ func chaosEngine(t *testing.T, cfg Config) *Engine {
 // persistent fault at each point fails a scattered request with an error
 // that identifies itself as injected — never a crashed process or a hung
 // ask — and panics additionally land in the recovery ledger. Each point
-// is driven twice: through a fixed-r scatter, and (".../strata=4")
+// is driven three times: through a fixed-r scatter, (".../strata=4")
 // through an adaptive ask whose shard×stratum arms share one router per
-// shard, with the partitions built before the fault is armed so that it
-// lands on the routed stream; a panic there must release the router, so
-// the retry and the next ask proceed.
+// shard, and (".../strata=4/fixed") through a fixed-r ask over the same
+// arms. The stratified asks build their partitions before the fault is
+// armed, so that it lands on the routed stream; a panic there must
+// release the router, so the retry and the next ask proceed. A fixed-r
+// stratified ask runs round 0 of the arm loop under the same grow hook,
+// so a fault in an arm's draw is retried before it fails the ask.
 func TestChaosEveryPointErrorAndPanic(t *testing.T) {
 	wantPoints := []string{"compress.encode", "engine.scatter", "heap.scan", "sampling.draw"}
 	got := faults.Points()
@@ -75,10 +80,17 @@ func TestChaosEveryPointErrorAndPanic(t *testing.T) {
 	}
 	for _, point := range wantPoints {
 		for _, kind := range []string{"err", "panic"} {
-			for _, strata := range []int{0, 4} {
+			for _, c := range []struct {
+				strata int
+				fixed  bool
+			}{{0, false}, {4, false}, {4, true}} {
+				strata := c.strata
 				name := point + "/" + kind
 				if strata > 0 {
 					name += fmt.Sprintf("/strata=%d", strata)
+				}
+				if c.fixed {
+					name += "/fixed"
 				}
 				t.Run(name, func(t *testing.T) {
 					// Snapshots off so row reads go through the heap
@@ -96,11 +108,19 @@ func TestChaosEveryPointErrorAndPanic(t *testing.T) {
 						if res := e.Estimate(context.Background(), warm); res.Err != nil {
 							t.Fatal(res.Err)
 						}
-						req.SampleRows, req.TargetError, req.Strata, req.Seed = 0, 0.05, strata, 8
+						req.Strata, req.Seed = strata, 8
+						if !c.fixed {
+							req.SampleRows, req.TargetError = 0, 0.05
+						}
 					}
 					armChaos(t, point+":"+kind+"@1+", 1)
 					res := estimateWithin(t, e, req, 10*time.Second)
 					checkInjected(t, point, kind, res)
+					if c.fixed && point != "compress.encode" && e.Stats().ShardRetries == 0 {
+						// The codec's fault fires in the arm's Estimate,
+						// after its draws: there is no draw to retry.
+						t.Error("fixed-r stratified ask failed without a retry")
+					}
 					if strata > 0 {
 						faults.Disarm()
 						req.Seed = 9
@@ -182,103 +202,181 @@ func TestChaosBatchIsolation(t *testing.T) {
 
 // TestChaosTransientFaultHealsByRetry proves the retry policy absorbs a
 // transient shard failure invisibly: a fault firing only on the first hit
-// is healed by the retry (fresh private sample group), the request
-// succeeds undegraded, and the retry ledger shows the work.
+// is healed by the retry (a fresh private sample group on the scatter
+// path at strata=0, the grow hook's retry of the arm's draw at strata=4),
+// the request succeeds undegraded with the fault-free estimate, and the
+// retry ledger shows the work.
 func TestChaosTransientFaultHealsByRetry(t *testing.T) {
-	armChaos(t, "engine.scatter[1]:err@1", 1)
-	d := db.New(0)
-	st := liveShardedTable(t, d, "t", 4, 500)
-	e := chaosEngine(t, Config{Workers: 2})
-	res := e.Estimate(context.Background(), Request{
-		Table: st, Codec: mustCodec(t), KeyColumns: []string{"city"},
-		SampleRows: 200, Seed: 3, FreshSample: true,
-	})
-	if res.Err != nil {
-		t.Fatalf("transient fault was not healed: %v", res.Err)
-	}
-	if res.Degraded {
-		t.Error("healed request reported Degraded")
-	}
-	if got := e.Stats().ShardRetries; got == 0 {
-		t.Error("retry ledger empty despite a healed transient fault")
+	for _, strata := range []int{0, 4} {
+		t.Run(fmt.Sprintf("strata=%d", strata), func(t *testing.T) {
+			d := db.New(0)
+			st := liveShardedTable(t, d, "t", 4, 500)
+			req := Request{
+				Table: st, Codec: mustCodec(t), KeyColumns: []string{"city"},
+				SampleRows: 200, Seed: 3, FreshSample: true, Strata: strata,
+			}
+			want := chaosEngine(t, Config{Workers: 2}).Estimate(context.Background(), req)
+			if want.Err != nil {
+				t.Fatal(want.Err)
+			}
+			armChaos(t, "engine.scatter[1]:err@1", 1)
+			e := chaosEngine(t, Config{Workers: 2})
+			res := e.Estimate(context.Background(), req)
+			if res.Err != nil {
+				t.Fatalf("transient fault was not healed: %v", res.Err)
+			}
+			if res.Degraded {
+				t.Error("healed request reported Degraded")
+			}
+			if got := e.Stats().ShardRetries; got == 0 {
+				t.Error("retry ledger empty despite a healed transient fault")
+			}
+			if res.Estimate.CF != want.Estimate.CF || res.Estimate.SampleRows != want.Estimate.SampleRows {
+				t.Errorf("healed CF %v (%d rows) != fault-free CF %v (%d rows)",
+					res.Estimate.CF, res.Estimate.SampleRows, want.Estimate.CF, want.Estimate.SampleRows)
+			}
+		})
 	}
 }
 
 // TestChaosDegradedScatter is the acceptance scenario: one of four shards
-// fails persistently. Without AllowPartial the request fails with every
-// shard's error joined, naming the shard. With AllowPartial the survivors
-// merge into a Degraded result whose widened interval is pinned to the
-// renormalized stratified formula, and the degraded answer is never
-// served from cache.
+// fails persistently, on the fixed-r scatter (strata=0) and on a fixed-r
+// stratified ask over shard×stratum arms (strata=4). Without AllowPartial
+// the request fails with every shard's error joined, naming the shard.
+// With AllowPartial the survivors merge into a Degraded result with a
+// widened interval — pinned to the renormalized stratified formula on the
+// scatter — and the degraded answer is never served from cache.
 func TestChaosDegradedScatter(t *testing.T) {
-	armChaos(t, "engine.scatter[1]:err@1+", 1)
-	d := db.New(0)
-	st := liveShardedTable(t, d, "t", 4, 1000)
-	e := chaosEngine(t, Config{Workers: 2, CacheEntries: 64})
-	codec := mustCodec(t)
-	req := Request{Table: st, Codec: codec, KeyColumns: []string{"city"},
-		SampleRows: 400, Seed: 9, FreshSample: true}
+	for _, strata := range []int{0, 4} {
+		t.Run(fmt.Sprintf("strata=%d", strata), func(t *testing.T) {
+			armChaos(t, "engine.scatter[1]:err@1+", 1)
+			d := db.New(0)
+			st := liveShardedTable(t, d, "t", 4, 1000)
+			e := chaosEngine(t, Config{Workers: 2, CacheEntries: 64})
+			codec := mustCodec(t)
+			req := Request{Table: st, Codec: codec, KeyColumns: []string{"city"},
+				SampleRows: 400, Seed: 9, FreshSample: true, Strata: strata}
 
-	// Strict request: joined error naming the failed shard.
-	strict := e.Estimate(context.Background(), req)
-	if strict.Err == nil {
-		t.Fatal("strict request over a failing shard succeeded")
-	}
-	if !strings.Contains(strict.Err.Error(), "shard 1") {
-		t.Errorf("joined error does not name shard 1: %v", strict.Err)
-	}
-	if !errors.Is(strict.Err, faults.ErrInjected) {
-		t.Errorf("joined error lost the injected sentinel: %v", strict.Err)
-	}
+			// Strict request: joined error naming the failed shard.
+			strict := e.Estimate(context.Background(), req)
+			if strict.Err == nil {
+				t.Fatal("strict request over a failing shard succeeded")
+			}
+			if !strings.Contains(strict.Err.Error(), "shard 1") {
+				t.Errorf("joined error does not name shard 1: %v", strict.Err)
+			}
+			if !errors.Is(strict.Err, faults.ErrInjected) {
+				t.Errorf("joined error lost the injected sentinel: %v", strict.Err)
+			}
 
-	// Partial request: survivors merge, result degrades.
-	req.AllowPartial = true
-	res := e.Estimate(context.Background(), req)
-	if res.Err != nil {
-		t.Fatalf("AllowPartial request failed outright: %v", res.Err)
-	}
-	if !res.Degraded {
-		t.Fatal("partial result not marked Degraded")
-	}
-	if len(res.ShardsFailed) != 1 || res.ShardsFailed[0] != 1 {
-		t.Errorf("ShardsFailed = %v, want [1]", res.ShardsFailed)
-	}
-	if res.Estimate.CF <= 0 || res.Estimate.CF > 1 {
-		t.Errorf("degraded CF %v outside (0,1]", res.Estimate.CF)
-	}
-	// The widened interval is z·StratifiedSD over the three survivors:
-	// equal shards, so w_h = 1/4 each and r_h = 100 rows each, SD_h
-	// bounded by Theorem 1's 1/(2√r_h). StratifiedSD divides by Σw =
-	// 3/4 — the renormalization — so the expectation is fully explicit.
-	w, sd := 0.25, 1/(2*math.Sqrt(100))
-	want := zFor(0) * math.Sqrt(3*w*w*sd*sd) / (3 * w)
-	if math.Abs(res.AchievedError-want) > 1e-12 {
-		t.Errorf("degraded half-width %v, want %v", res.AchievedError, want)
-	}
-	if e.Stats().DegradedResults != 1 {
-		t.Errorf("DegradedResults = %d, want 1", e.Stats().DegradedResults)
-	}
+			// Partial request: survivors merge, result degrades.
+			req.AllowPartial = true
+			res := e.Estimate(context.Background(), req)
+			if res.Err != nil {
+				t.Fatalf("AllowPartial request failed outright: %v", res.Err)
+			}
+			if !res.Degraded {
+				t.Fatal("partial result not marked Degraded")
+			}
+			if len(res.ShardsFailed) != 1 || res.ShardsFailed[0] != 1 {
+				t.Errorf("ShardsFailed = %v, want [1]", res.ShardsFailed)
+			}
+			if res.Estimate.CF <= 0 || res.Estimate.CF > 1 {
+				t.Errorf("degraded CF %v outside (0,1]", res.Estimate.CF)
+			}
+			if res.AchievedError <= 0 {
+				t.Errorf("degraded answer reports no interval: %v", res.AchievedError)
+			}
+			if strata == 0 {
+				// The widened interval is z·StratifiedSD over the three
+				// survivors: equal shards, so w_h = 1/4 each and r_h =
+				// 100 rows each, SD_h bounded by Theorem 1's 1/(2√r_h).
+				// StratifiedSD divides by Σw = 3/4 — the renormalization
+				// — so the expectation is fully explicit.
+				w, sd := 0.25, 1/(2*math.Sqrt(100))
+				want := zFor(0) * math.Sqrt(3*w*w*sd*sd) / (3 * w)
+				if math.Abs(res.AchievedError-want) > 1e-12 {
+					t.Errorf("degraded half-width %v, want %v", res.AchievedError, want)
+				}
+			} else {
+				// The same formula over the surviving shard×stratum
+				// arms, each at the rows its stream returned: replay
+				// the request's arms (the partitions are cached, the
+				// streams seeded) and draw each survivor's round 0.
+				want, rows := survivorHalfWidth(t, e, req, 1)
+				if math.Abs(res.AchievedError-want) > 1e-12 {
+					t.Errorf("degraded half-width %v, want %v", res.AchievedError, want)
+				}
+				if res.Estimate.SampleRows != rows {
+					t.Errorf("degraded SampleRows %d, survivors drew %d", res.Estimate.SampleRows, rows)
+				}
+			}
+			if e.Stats().DegradedResults != 1 {
+				t.Errorf("DegradedResults = %d, want 1", e.Stats().DegradedResults)
+			}
 
-	// A degraded answer is never cached: the repeat recomputes (and
-	// degrades again, since the fault persists) rather than hitting.
-	res2 := e.Estimate(context.Background(), req)
-	if res2.CacheHit {
-		t.Error("degraded result was served from cache")
+			// A degraded answer is never cached: the repeat recomputes (and
+			// degrades again, since the fault persists) rather than hitting.
+			res2 := e.Estimate(context.Background(), req)
+			if res2.CacheHit {
+				t.Error("degraded result was served from cache")
+			}
+			if !res2.Degraded {
+				t.Error("repeat over the persistent fault not Degraded")
+			}
+
+			// Strict and partial asks in one batch never share an answer:
+			// the strict one fails, the partial one degrades. (Two
+			// batches: more strict failures would open the breaker.)
+			strictReq := req
+			strictReq.AllowPartial = false
+			for rep := 0; rep < 2; rep++ {
+				out := e.WhatIf(context.Background(), []Request{strictReq, req})
+				if out[0].Err == nil || out[1].Err != nil || !out[1].Degraded {
+					t.Fatalf("batch %d: strict err %v, partial err %v degraded %v; want an error and a degraded answer",
+						rep, out[0].Err, out[1].Err, out[1].Degraded)
+				}
+			}
+		})
 	}
-	if !res2.Degraded {
-		t.Error("repeat over the persistent fault not Degraded")
+}
+
+// survivorHalfWidth replays req's fixed-r arm set with shard failed left
+// out: each surviving arm draws its proportional share of the request's
+// rows from a fresh copy of its stream, and the result is the explicit
+// renormalized form z·√(Σ w_h²/(4·r_h))/Σ w_h over the arms' weights and
+// the rows they returned, with the total rows drawn.
+func survivorHalfWidth(t *testing.T, e *Engine, req Request, failed int) (float64, int64) {
+	t.Helper()
+	arms, origins, err := e.requestArms(context.Background(), req, req.Table.Epoch())
+	if err != nil {
+		t.Fatal(err)
 	}
+	alloc := sampling.Allocate(req.SampleRows, core.ArmRows(arms), nil)
+	var v, wsum float64
+	var total int64
+	for i, arm := range arms {
+		if origins[i].shard == failed {
+			continue
+		}
+		ar, err := arm.Extend(0, alloc[i])
+		if err != nil {
+			t.Fatal(err)
+		}
+		r := float64(ar.Len())
+		v += arm.Weight * arm.Weight / (4 * r)
+		wsum += arm.Weight
+		total += int64(ar.Len())
+	}
+	return zFor(0) * math.Sqrt(v) / wsum, total
 }
 
 // TestChaosDegradedHalfWidthFormula unit-pins degradedHalfWidth against
 // the stratified algebra it claims to implement, including the
 // renormalization under unequal surviving weights.
 func TestChaosDegradedHalfWidthFormula(t *testing.T) {
-	survivors := []*shardWork{
-		{weight: 0.5, rows: 400},
-		{weight: 0.2, rows: 100},
-	}
-	got := degradedHalfWidth(survivors)
+	weights, planned, sampled := []float64{0.5, 0.2}, []int64{400, 100}, []int64{0, 0}
+	got := degradedHalfWidth(weights, planned, sampled)
 	want := zFor(0) * stats.StratifiedSD([]stats.Stratum{
 		{Weight: 0.5, SD: 1 / (2 * math.Sqrt(400))},
 		{Weight: 0.2, SD: 1 / (2 * math.Sqrt(100))},
@@ -291,12 +389,14 @@ func TestChaosDegradedHalfWidthFormula(t *testing.T) {
 	if math.Abs(got-explicit) > 1e-15 {
 		t.Errorf("degradedHalfWidth = %v, explicit formula says %v", got, explicit)
 	}
-	// Drawn-rows override: when the shard's estimate records how many
-	// rows it actually sampled, that count bounds the SD, not the plan.
-	survivors[1].est.SampleRows = 2500
-	boosted := degradedHalfWidth(survivors)
-	if boosted >= got {
-		t.Errorf("more sampled rows widened the interval: %v >= %v", boosted, got)
+	// Drawn-rows override: when a survivor records how many rows it
+	// actually sampled (a cached shard estimated at an earlier
+	// allocation), that count bounds the SD, not the plan.
+	sampled[1] = 2500
+	boosted := degradedHalfWidth(weights, planned, sampled)
+	explicit = zFor(0) * math.Sqrt(0.25*1.0/1600+0.04*1.0/10000) / 0.7
+	if math.Abs(boosted-explicit) > 1e-15 {
+		t.Errorf("degradedHalfWidth over 2500 sampled rows (plan 100) = %v, want %v", boosted, explicit)
 	}
 }
 

@@ -170,9 +170,10 @@ type Request struct {
 	// existing index's separator keys, the maintained reservoir's observed
 	// keys, or a fixed-seed pilot — in that order), each range fed by its
 	// own queue of one routed uniform stream and weighted by a fixed-seed
-	// weight pilot, composed by stratified mean and variance. 0 disables;
-	// 1 is the degenerate single stratum. Stratified draws are always fresh
-	// (the maintained sample serves only boundary resolution), and a
+	// weight pilot, composed by stratified mean and variance. 0 and 1
+	// both disable it: a Strata 1 ask is answered exactly as a Strata 0
+	// one, cache entry included. Stratified draws are always fresh (the
+	// maintained sample serves only boundary resolution), and a
 	// partitioned table stratifies within each shard.
 	Strata int
 
@@ -542,8 +543,8 @@ type batchItem struct {
 	// partitioned table: one work unit per non-empty shard, some possibly
 	// pre-answered from the per-shard cache.
 	shards []*shardWork
-	// stratified marks a fixed-r request routed through the stratified
-	// evaluator (Request.Strata > 0): per-stratum streams, no group dedup.
+	// stratified marks a fixed-r request run as round 0 of the arm loop
+	// (runArms; Request.Strata > 1): per-arm streams, no group dedup.
 	stratified bool
 }
 
@@ -572,6 +573,9 @@ func (e *Engine) WhatIf(ctx context.Context, reqs []Request) []Result {
 		if err := validate(req); err != nil {
 			results[i] = Result{Err: err}
 			continue
+		}
+		if req.Strata == 1 {
+			req.Strata = 0 // one stratum is no stratification
 		}
 		// The version epoch read here keys both the cache entry and the
 		// sample group: a mutation committed after this point produces a
@@ -870,7 +874,21 @@ func (e *Engine) evaluateItem(ctx context.Context, it *batchItem) Result {
 		return e.evaluateAdaptive(ctx, it)
 	}
 	if it.stratified {
-		return e.evaluateStratified(ctx, it)
+		r := it.req.SampleRows
+		if r <= 0 {
+			r = sampling.SampleSize(it.req.Table.NumRows(), it.req.Fraction)
+		}
+		res, failed, half, err := e.runArms(ctx, it.req, it.key.epoch, it.key.pageSize, core.Precision{}, r)
+		if err != nil {
+			return Result{Err: fmt.Errorf("engine: request %d: %w", it.idx, err)}
+		}
+		if failed != nil {
+			return Result{Estimate: res.Estimate, Degraded: true, ShardsFailed: failed, AchievedError: half}
+		}
+		if ev := e.cache.Put(it.key, res.Estimate, nil); ev > 0 {
+			e.evictions.Add(uint64(ev))
+		}
+		return Result{Estimate: res.Estimate}
 	}
 	if it.shards != nil {
 		return e.evaluateScatter(ctx, it)
@@ -1039,7 +1057,7 @@ func zFor(confidence float64) float64 {
 // grow the sample in resumable rounds (estimate → CI-check → extend) until
 // the target half-width is met or the row budget runs out, then publish the
 // achieved precision to the dominance cache. Sharded and stratified asks
-// run the multi-arm loop (runStratifiedAdaptive); a plain table's rounds
+// run the multi-arm loop (runArms); a plain table's rounds
 // come from the maintained sample when its reservoir can cover the entire
 // row budget at the request's epoch, otherwise from fresh resumable
 // uniform-WR draws (runAdaptive). Batch items with identical adaptive keys
@@ -1056,7 +1074,15 @@ func (e *Engine) evaluateAdaptive(ctx context.Context, it *batchItem) Result {
 		if _, sharded := it.req.Table.(catalog.Sharded); sharded || it.req.Strata > 0 {
 			// Shards, strata, and shard×stratum cells are all arms of
 			// the one multi-arm loop.
-			ag.res, ag.failed, ag.err = e.runStratifiedAdaptive(ctx, it.req, it.pkey)
+			ag.res, ag.failed, _, ag.err = e.runArms(ctx, it.req, it.pkey.epoch, it.pkey.pageSize,
+				adaptiveTarget(it.req), initialAdaptiveRows(it.req))
+			if ag.err == nil {
+				e.adaptiveRounds.Add(uint64(ag.res.Rounds))
+				e.adaptiveRows.Add(uint64(ag.res.Estimate.SampleRows))
+				if ag.failed == nil {
+					e.publishPrecision(it.pkey, ag.res, it.req.Confidence)
+				}
+			}
 			return
 		}
 		ag.res, ag.err = e.runAdaptive(ctx, it.req, it.pkey, it.r0g)
@@ -1076,6 +1102,20 @@ func (e *Engine) evaluateAdaptive(ctx context.Context, it *batchItem) Result {
 		out.ShardsFailed = append([]int(nil), ag.failed...)
 	}
 	return out
+}
+
+// adaptiveTarget is an adaptive request's precision target, its row
+// budget defaulting to the whole table.
+func adaptiveTarget(req Request) core.Precision {
+	target := core.Precision{
+		TargetError:   req.TargetError,
+		Confidence:    req.Confidence,
+		MaxSampleRows: req.MaxSampleRows,
+	}
+	if target.MaxSampleRows == 0 {
+		target.MaxSampleRows = req.Table.NumRows()
+	}
+	return target
 }
 
 // initialAdaptiveRows resolves an adaptive request's round-0 size:
@@ -1113,15 +1153,7 @@ func (e *Engine) runAdaptive(ctx context.Context, req Request, pkey precisionKey
 	if pageSize == 0 {
 		pageSize = e.cfg.PageSize
 	}
-	n := req.Table.NumRows()
-	target := core.Precision{
-		TargetError:   req.TargetError,
-		Confidence:    req.Confidence,
-		MaxSampleRows: req.MaxSampleRows,
-	}
-	if target.MaxSampleRows == 0 {
-		target.MaxSampleRows = n
-	}
+	target := adaptiveTarget(req)
 	opts := core.Options{
 		Codec:      req.Codec,
 		KeyColumns: req.KeyColumns,

@@ -65,9 +65,11 @@ type flightGroup struct {
 // flightKey resolves the coalescing key for a batch item: the result-cache
 // key for fixed-r and stratified requests, the adaptive group key
 // (reconstructed exactly as WhatIf builds it) for precision-targeted ones,
-// and nil — no coalescing — for scattered items.
+// and nil — no coalescing — for scattered items and AllowPartial fixed-r
+// stratified ones, the two that can degrade: a degraded result must never
+// fan out to a waiter that did not opt in.
 func flightKey(it *batchItem) any {
-	if it.shards != nil {
+	if it.shards != nil || it.stratified && it.req.AllowPartial {
 		return nil
 	}
 	if it.req.TargetError > 0 {

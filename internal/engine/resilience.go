@@ -97,19 +97,21 @@ func backoffSleep(ctx context.Context, jit *rng.RNG, d time.Duration) bool {
 }
 
 // degradedHalfWidth is the widened 95% interval of a degraded fixed-r
-// merge: survivors only, their plan-time weights renormalized by the
-// stratified algebra itself (StratifiedSD divides by Σw), each shard's SD
-// bounded by Theorem 1's distribution-free scale 1/(2√r_h). A fixed-r
-// request normally reports no interval at all; a degraded one must, so
-// the caller can see what the missing shards cost in confidence.
-func degradedHalfWidth(survivors []*shardWork) float64 {
-	strata := make([]stats.Stratum, len(survivors))
-	for i, w := range survivors {
-		rows := w.rows
-		if w.est.SampleRows > 0 {
-			rows = w.est.SampleRows
+// answer, scatter and arm loop alike: survivors only, their plan-time
+// weights renormalized by the stratified algebra itself (StratifiedSD
+// divides by Σw), each survivor's SD bounded by Theorem 1's
+// distribution-free scale 1/(2√r_h) over the rows it sampled — a cached
+// shard's or a short arm's count, not its plan (planned[h] stands in only
+// for an unknown, zero, sampled[h]). A fixed-r request normally reports no
+// interval; a degraded one must, so the caller sees what the loss cost.
+func degradedHalfWidth(weights []float64, planned, sampled []int64) float64 {
+	strata := make([]stats.Stratum, len(weights))
+	for i, w := range weights {
+		rows := planned[i]
+		if sampled[i] > 0 {
+			rows = sampled[i]
 		}
-		strata[i] = stats.Stratum{Weight: w.weight, SD: 1 / (2 * math.Sqrt(float64(rows)))}
+		strata[i] = stats.Stratum{Weight: w, SD: 1 / (2 * math.Sqrt(float64(rows)))}
 	}
 	return zFor(0) * stats.StratifiedSD(strata)
 }

@@ -225,6 +225,12 @@ func (e *Engine) evaluateScatter(ctx context.Context, it *batchItem) Result {
 			ids[i] = w.shard
 		}
 		sort.Ints(ids)
+		weights := make([]float64, len(survivors))
+		planned := make([]int64, len(survivors))
+		sampled := make([]int64, len(survivors))
+		for i, w := range survivors {
+			weights[i], planned[i], sampled[i] = w.weight, w.rows, w.est.SampleRows
+		}
 		// The degraded merge is never cached under the whole-table
 		// identity (the scatter path has no request-level cache entry to
 		// begin with), and the failed shards stayed out of the per-shard
@@ -234,7 +240,7 @@ func (e *Engine) evaluateScatter(ctx context.Context, it *batchItem) Result {
 			SharedSample:  shared,
 			Degraded:      true,
 			ShardsFailed:  ids,
-			AchievedError: degradedHalfWidth(survivors),
+			AchievedError: degradedHalfWidth(weights, planned, sampled),
 		}
 	}
 	return Result{Estimate: est, SharedSample: shared}

@@ -3,15 +3,16 @@
 // rather than a key range: weights N_h/N compose the mean and √(Σ w_h²σ_h²)
 // the interval whichever boundary cut the table. So a request becomes one
 // flat set of core.StratumArm — one arm per key-range stratum of a plain
-// table (Request.Strata), one per shard of a partitioned table when
-// Strata ≤ 1, one per shard×stratum cell otherwise, with cell weights
-// rescaled to whole-table shares. Fixed-r stratified asks run
-// core.EstimateStratified over the arms; every sharded or stratified
-// adaptive ask runs core.AdaptiveEstimateStratified, each arm's extensions
-// under the engine's grow hook (hookArm: deadline, shard fault point,
-// panic trap, retries, and the AllowPartial drop). (Fixed-r asks on a
-// partitioned table without strata take the scatter path of shard.go,
-// whose per-shard cache keeps serving untouched shards.)
+// table (Request.Strata), one per shard of a partitioned table without
+// strata, one per shard×stratum cell otherwise, with cell weights
+// rescaled to whole-table shares. Every stratified ask, and every sharded
+// adaptive one, runs core.AdaptiveEstimateStratified over the arms
+// (runArms), each arm's draws under the engine's grow hook (hookArm:
+// deadline, shard fault point, panic trap, retries, and the AllowPartial
+// drop); a fixed-r ask is the loop's round 0 with no target. (Fixed-r
+// asks on a partitioned table without strata take the scatter path of
+// shard.go, whose per-shard cache keeps serving untouched shards.) The
+// engine rewrites Strata 1 to 0: one stratum is no stratification.
 //
 // A stratified table's arms route one uniform stream: core.RoutedArms
 // draws rows of the whole table (or shard) at the request's seed and
@@ -19,11 +20,11 @@
 // scans the table. What they share across requests is the partition —
 // boundaries plus weights ŵ_h = m_h/m from a fixed-seed weight pilot of
 // m = 8192 rows, O(H) bytes — cached per (instance, epoch, columns,
-// strata); Strata ≤ 1 is a single whole-table stream and resolves no
-// partition at all. Boundary resolution prefers free sources (an existing
-// index's separator keys, then a maintained reservoir's observed keys,
-// then the fixed-seed pilot), and a partition build runs under a draw
-// span.
+// strata); a partition whose pilot finds one stratum is a single
+// whole-table stream (core.TableArm). Boundary resolution prefers free
+// sources (an existing index's separator keys, then a maintained
+// reservoir's observed keys, then the fixed-seed pilot), and a partition
+// build runs under a draw span.
 //
 // Stratified draws are always fresh: the routed stream reads the table
 // itself — the maintained-sample fast path serves only boundary
@@ -205,16 +206,17 @@ func (e *Engine) requestArms(ctx context.Context, req Request, epoch uint64) ([]
 	return arms, origins, nil
 }
 
-// hookArm is the engine's grow hook, the one wrapper around an adaptive
-// arm's Extend. Every extension re-checks ctx, so an expired deadline
-// stops the loop at the next round boundary, and adds its rows to rows
-// (the rows-per-stratum ledger; nil for unstratified asks). A shard arm
+// hookArm is the engine's grow hook, the one wrapper around an arm's
+// Extend, fixed-r and adaptive alike. Every extension re-checks ctx, so
+// an expired deadline stops the loop at the next round boundary, and adds
+// its rows to drawn (the arm's sampled rows) and to rows (the
+// rows-per-stratum ledger; nil for unstratified asks). A shard arm
 // (shard ≥ 0) also passes the engine.scatter[shard] fault point under the
 // shard panic trap, retries retryable failures with the fixed scatter's
 // capped, jittered backoff (retryBackoff), and under AllowPartial marks a
 // persistent failure core.ErrArmDropped: the loop then drops the arm and
 // composes the survivors.
-func (e *Engine) hookArm(ctx context.Context, req Request, arm *core.StratumArm, shard int, rows *obs.Counter) {
+func (e *Engine) hookArm(ctx context.Context, req Request, arm *core.StratumArm, shard int, rows *obs.Counter, drawn *int64) {
 	extend, seed := arm.Extend, arm.Seed
 	attempt := func(round int, extra int64) (ar *value.RecordArena, err error) {
 		if err := ctx.Err(); err != nil {
@@ -245,119 +247,74 @@ func (e *Engine) hookArm(ctx context.Context, req Request, arm *core.StratumArm,
 		if err != nil {
 			return nil, err
 		}
-		if rows != nil && ar != nil {
-			rows.Add(uint64(ar.Len()))
+		if ar != nil {
+			*drawn += int64(ar.Len())
+			if rows != nil {
+				rows.Add(uint64(ar.Len()))
+			}
 		}
 		return ar, nil
 	}
 }
 
-// evaluateStratified runs one fixed-r stratified request on a pool worker:
-// resolve the arms, allocate r proportionally across them, run the
-// per-stratum draws (core.EstimateStratified bounds its own fan-out), and
-// cache the merged estimate under the request-level key.
-func (e *Engine) evaluateStratified(ctx context.Context, it *batchItem) Result {
-	req := it.req
-	e.stratified.Add(1)
-	arms, origins, err := e.requestArms(ctx, req, it.key.epoch)
+// runArms runs one sharded or stratified ask through the arm loop: the
+// arm set from requestArms, each arm's Extend under the grow hook, a
+// proportional allocation of r0 rows as round 0, and
+// core.AdaptiveEstimateStratified — one round when target is zero (a
+// fixed-r ask), refinement to the target otherwise (round 0 doubling as
+// the Neyman pilot). A degraded outcome — shard arms dropped under
+// AllowPartial — also returns the failed shards, ascending, and
+// degradedHalfWidth over the survivors' weights and sampled rows. The
+// caller caches only a whole outcome: a survivors-only answer must never
+// be served as a whole-table result.
+func (e *Engine) runArms(ctx context.Context, req Request, epoch uint64, pageSize int,
+	target core.Precision, r0 int64) (res core.AdaptiveResult, failed []int, half float64, err error) {
+	arms, origins, err := e.requestArms(ctx, req, epoch)
 	if err != nil {
-		return Result{Err: fmt.Errorf("engine: request %d: stratify: %w", it.idx, err)}
-	}
-	e.strataCountHist.Observe(time.Duration(len(arms)))
-	for i := range arms {
-		draw, rows := arms[i].Draw, e.strataRows.With(strconv.Itoa(origins[i].stratum))
-		arms[i].Draw = func(r int64) (*value.RecordArena, error) {
-			ar, err := draw(r)
-			if err == nil && ar != nil {
-				rows.Add(uint64(ar.Len()))
-			}
-			return ar, err
-		}
-	}
-	r := req.SampleRows
-	if r <= 0 {
-		r = sampling.SampleSize(req.Table.NumRows(), req.Fraction)
-	}
-	alloc := sampling.Allocate(r, core.ArmRows(arms), nil)
-	e.samplesDrawn.Add(1)
-	_, end := obs.StartSpan(ctx, stageCompress)
-	t0 := time.Now()
-	est, err := core.EstimateStratified(arms, alloc, core.Options{
-		Codec: req.Codec, PageSize: it.key.pageSize, Seed: req.Seed, Strata: req.Strata,
-	})
-	e.stageCompressHist.Observe(time.Since(t0))
-	end.End()
-	if err != nil {
-		return Result{Err: fmt.Errorf("engine: request %d: %w", it.idx, err)}
-	}
-	e.evaluated.Add(1)
-	if ev := e.cache.Put(it.key, est, nil); ev > 0 {
-		e.evictions.Add(uint64(ev))
-	}
-	return Result{Estimate: est}
-}
-
-// runStratifiedAdaptive is the precision-targeted loop of every sharded or
-// stratified ask: the arm set from requestArms, each arm's Extend under the
-// grow hook, proportional round-0 allocation (doubling as the Neyman
-// pilot), then core.AdaptiveEstimateStratified's dominance-routed
-// refinement. A whole outcome publishes to the dominance cache under the
-// request's precision key. A degraded one — shard arms dropped under
-// AllowPartial — returns the failed shards, ascending, and answers only
-// this request: the precision cache must never serve a survivors-only
-// interval as a whole-table result.
-func (e *Engine) runStratifiedAdaptive(ctx context.Context, req Request, pkey precisionKey) (core.AdaptiveResult, []int, error) {
-	pageSize := req.PageSize
-	if pageSize == 0 {
-		pageSize = e.cfg.PageSize
-	}
-	arms, origins, err := e.requestArms(ctx, req, pkey.epoch)
-	if err != nil {
-		return core.AdaptiveResult{}, nil, fmt.Errorf("stratify: %w", err)
+		return res, nil, 0, fmt.Errorf("stratify: %w", err)
 	}
 	if req.Strata > 0 {
 		e.stratified.Add(1)
 		e.strataCountHist.Observe(time.Duration(len(arms)))
 	}
+	drawn := make([]int64, len(arms))
 	for i := range arms {
 		var rows *obs.Counter
 		if req.Strata > 0 {
 			rows = e.strataRows.With(strconv.Itoa(origins[i].stratum))
 		}
-		e.hookArm(ctx, req, &arms[i], origins[i].shard, rows)
+		e.hookArm(ctx, req, &arms[i], origins[i].shard, rows, &drawn[i])
 	}
-	target := core.Precision{
-		TargetError:   req.TargetError,
-		Confidence:    req.Confidence,
-		MaxSampleRows: req.MaxSampleRows,
+	stage, hist := stageRounds, e.stageRoundsHist
+	if target.TargetError == 0 {
+		stage, hist = stageCompress, e.stageCompressHist
 	}
-	if target.MaxSampleRows == 0 {
-		target.MaxSampleRows = req.Table.NumRows()
-	}
-	round0 := sampling.Allocate(initialAdaptiveRows(req), core.ArmRows(arms), nil)
+	round0 := sampling.Allocate(r0, core.ArmRows(arms), nil)
 	e.samplesDrawn.Add(1)
-	_, endRounds := obs.StartSpan(ctx, stageRounds)
+	_, end := obs.StartSpan(ctx, stage)
 	t0 := time.Now()
-	res, err := core.AdaptiveEstimateStratified(arms, round0, target, core.Options{
+	res, err = core.AdaptiveEstimateStratified(arms, round0, target, core.Options{
 		Codec: req.Codec, PageSize: pageSize, Seed: req.Seed, Strata: req.Strata,
 	})
-	e.stageRoundsHist.Observe(time.Since(t0))
-	endRounds.End()
+	hist.Observe(time.Since(t0))
+	end.End()
 	if err != nil {
-		return core.AdaptiveResult{}, nil, err
+		return core.AdaptiveResult{}, nil, 0, err
 	}
-	e.adaptiveRounds.Add(uint64(res.Rounds))
-	e.adaptiveRows.Add(uint64(res.Estimate.SampleRows))
 	e.evaluated.Add(1)
 	if len(res.Dropped) == 0 {
-		e.publishPrecision(pkey, res, req.Confidence)
-		return res, nil, nil
+		return res, nil, 0, nil
 	}
 	e.degradedResults.Add(1)
-	var failed []int
-	for _, i := range res.Dropped {
-		failed = append(failed, origins[i].shard)
+	var weights []float64
+	var planned, sampled []int64
+	for i := range arms {
+		if slices.Contains(res.Dropped, i) {
+			failed = append(failed, origins[i].shard)
+		} else {
+			weights = append(weights, arms[i].Weight)
+			planned, sampled = append(planned, round0[i]), append(sampled, drawn[i])
+		}
 	}
-	slices.Sort(failed)
-	return res, slices.Compact(failed), nil
+	return res, slices.Compact(failed), degradedHalfWidth(weights, planned, sampled), nil
 }

@@ -12,6 +12,7 @@ import (
 	"samplecf/internal/core"
 	"samplecf/internal/db"
 	"samplecf/internal/obs"
+	"samplecf/internal/value"
 )
 
 // TestStratifiedSingleStratumMatchesPlain pins the engine's degenerate
@@ -41,6 +42,33 @@ func TestStratifiedSingleStratumMatchesPlain(t *testing.T) {
 			t.Errorf("%s: strata=1 (CF %v, r %d) != plain (CF %v, r %d)",
 				codecName, s.CF, s.SampleRows, p.CF, p.SampleRows)
 		}
+	}
+}
+
+// TestSingleStratumSharesPlainCacheEntry pins the Strata 1 rewrite: one
+// stratum is no stratification, so a non-fresh Strata 1 ask is answered
+// from the cache entry a Strata 0 ask made, with an equal estimate, and
+// counts as no stratified estimate.
+func TestSingleStratumSharesPlainCacheEntry(t *testing.T) {
+	tab := testTable(t, "strat1cache", 6000, 13)
+	e := New(Config{Workers: 2})
+	defer e.Close()
+	req := Request{Table: tab, Codec: codec(t, "rle"), SampleRows: 500, Seed: 4}
+	plain := e.Estimate(context.Background(), req)
+	req.Strata = 1
+	one := e.Estimate(context.Background(), req)
+	if plain.Err != nil || one.Err != nil {
+		t.Fatalf("errs: %v / %v", plain.Err, one.Err)
+	}
+	if !one.CacheHit {
+		t.Error("Strata 1 ask missed the Strata 0 cache entry")
+	}
+	if one.Estimate.CF != plain.Estimate.CF || one.Estimate.SampleRows != plain.Estimate.SampleRows {
+		t.Errorf("Strata 1 CF %v (%d rows) != Strata 0 CF %v (%d rows)",
+			one.Estimate.CF, one.Estimate.SampleRows, plain.Estimate.CF, plain.Estimate.SampleRows)
+	}
+	if n := e.Stats().StratifiedEstimates; n != 0 {
+		t.Errorf("StratifiedEstimates = %d, want 0", n)
 	}
 }
 
@@ -288,5 +316,37 @@ func TestRoutedStratifiedDeterministic(t *testing.T) {
 				same(fmt.Sprintf("concurrent ask %d", i), one, r)
 			}
 		})
+	}
+}
+
+// TestHookArmCountsReturnedRows pins the sampled-rows count a degraded
+// fixed-r interval reads: hookArm adds what each extension returned, not
+// what it asked for, so an arm that comes back short (a routed arm at its
+// scan cap) counts at its real size.
+func TestHookArmCountsReturnedRows(t *testing.T) {
+	schema, err := value.NewSchema(value.Column{Name: "a", Type: value.Int32()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	arm := core.StratumArm{Label: "short", Extend: func(round int, extra int64) (*value.RecordArena, error) {
+		ar := value.NewRecordArena(schema, int(extra/2))
+		for i := int64(0); i < extra/2; i++ {
+			if err := ar.Append(value.Row{value.IntValue(int32(i))}); err != nil {
+				return nil, err
+			}
+		}
+		return ar, nil
+	}}
+	e := New(Config{})
+	defer e.Close()
+	var drawn int64
+	e.hookArm(context.Background(), Request{}, &arm, -1, nil, &drawn)
+	for round, extra := range []int64{100, 40} {
+		if _, err := arm.Extend(round, extra); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if drawn != 70 {
+		t.Errorf("drawn = %d rows, want the 70 returned (140 asked)", drawn)
 	}
 }
