@@ -89,8 +89,9 @@ type PageProvider interface {
 // maintained reservoir and the estimator.
 type Sample struct {
 	// Arena holds the sampled rows (records + memcomparable keys) under
-	// the table's schema. It is a snapshot: later table mutations never
-	// change it, and callers must not mutate it either.
+	// the table's schema. It is a snapshot shared by every caller until
+	// the sample next changes: later table mutations never change it, and
+	// callers must treat it as read-only.
 	Arena *value.RecordArena
 	// Epoch is the table epoch the snapshot was taken at.
 	Epoch uint64

@@ -5,15 +5,19 @@
 // and Neyman allocation (n_h ∝ N_h·σ_h) spends the refinement rows where
 // the residual within-stratum spread is. The mechanics live in
 // internal/sampling (boundaries, the Router that splits one uniform stream
-// into per-stratum queues); this file owns the partition (boundaries plus
-// weights estimated by a fixed-seed weight pilot), composition — merged
-// estimates, the composed confidence interval z·√(Σ w_h²σ_h² + pilot
-// term) — and the arm loop, which extends only the strata whose variance
-// contribution dominates. A fixed-size ask is the loop's round 0 with no
-// target: one fan-out, no refinement, no CI. The engine runs a
-// partitioned table's shards through the same loop, as arms. Strata ≤ 1
-// is no stratification: SampleCF and SampleCFAdaptive take their plain
-// routes.
+// into per-stratum queues); this file owns the partition, composition —
+// merged estimates, the composed confidence interval z·√(Σ w_h²σ_h² +
+// pilot term) — and the arm loop, which extends only the strata whose
+// variance contribution dominates. A partition has two parts that change
+// at different rates: Cuts, a key domain's cut points (an index walk or a
+// fixed-seed boundary pilot), which stay valid for every version of a
+// table, and weights ŵ_h = m_h/m, counted per version from a uniform
+// sample — a maintained reservoir's records (SampleWeights) or a
+// fixed-seed weight pilot (PilotWeights) — never from the rows that cut.
+// A fixed-size ask is the loop's round 0 with no target: one fan-out, no
+// refinement, no CI. The engine runs a partitioned table's shards through
+// the same loop, as arms. Strata ≤ 1 is no stratification: SampleCF and
+// SampleCFAdaptive take their plain routes.
 //
 // A note on what stratification can and cannot buy: Theorem 1's bound is
 // data-independent — composed across strata at proportional allocation it
@@ -97,8 +101,7 @@ func PilotBoundaries(src sampling.RowSource, schema *value.Schema, keyCols []str
 }
 
 // EquiDepthFromKeys derives up to strata-1 boundaries from any observed key
-// sample — a pilot draw or a maintained reservoir snapshot. The input is
-// not mutated.
+// sample, such as the boundary pilot's draw. The input is not mutated.
 func EquiDepthFromKeys(keys [][]byte, strata int) [][]byte {
 	sorted := make([][]byte, len(keys))
 	copy(sorted, keys)
@@ -116,22 +119,20 @@ const weightPilotSeed uint64 = 0x776569676874 // "weight"
 // routes 8192 rows — a few milliseconds, once per table version.
 const weightPilotRows int64 = 8192
 
-// Partition is one table's stratification, resolved once per table
-// version: the key-range strata, the key projection that places a record,
-// and each stratum's row count in the weight pilot, so ŵ_h = m_h/m. It
-// holds O(H) state and no row positions.
-type Partition struct {
+// Cuts is one key domain cut into strata: the key-range strata and the key
+// projection that places a record among them. Cuts carry no weights, so
+// one Cuts serves every version of a table: any fixed cut points give an
+// unbiased stratified estimate once each version's weights are right.
+type Cuts struct {
 	strata  *sampling.KeyStrata
 	keyOf   func(buf, rec []byte) []byte
-	counts  []int64
+	schema  *value.Schema
 	keyCols []string
 }
 
-// NewPartition weighs the strata that bounds cut src's key domain into:
-// it routes weightPilotRows rows of a fixed-seed uniform stream and counts
-// them per stratum. Empty bounds are the single stratum, which needs no
-// pilot.
-func NewPartition(src sampling.RowSource, schema *value.Schema, keyCols []string, bounds [][]byte) (*Partition, error) {
+// NewCuts returns the strata that bounds cut keyCols' key domain into,
+// for records under schema.
+func NewCuts(schema *value.Schema, keyCols []string, bounds [][]byte) (*Cuts, error) {
 	ks, err := sampling.NewKeyStrata(bounds)
 	if err != nil {
 		return nil, err
@@ -144,11 +145,30 @@ func NewPartition(src sampling.RowSource, schema *value.Schema, keyCols []string
 	if err != nil {
 		return nil, err
 	}
-	p := &Partition{strata: ks, keyOf: proj.AppendKey, counts: []int64{weightPilotRows}, keyCols: keyCols}
-	if ks.NumStrata() == 1 {
+	return &Cuts{strata: ks, keyOf: proj.AppendKey, schema: schema, keyCols: keyCols}, nil
+}
+
+// Boundaries returns the cut points (aliased, not copied).
+func (c *Cuts) Boundaries() [][]byte { return c.strata.Boundaries() }
+
+// Partition is one table version's stratification: the Cuts, and each
+// stratum's count m_h in a uniform sample of m rows of that version, so
+// ŵ_h = m_h/m. It holds O(H) state and no row positions.
+type Partition struct {
+	cuts   *Cuts
+	counts []int64
+	m      int64
+}
+
+// PilotWeights weighs c's strata on src: it routes weightPilotRows rows of
+// a fixed-seed uniform stream and counts them per stratum. A single
+// stratum needs no pilot.
+func (c *Cuts) PilotWeights(src sampling.RowSource) (*Partition, error) {
+	p := &Partition{cuts: c, counts: []int64{weightPilotRows}, m: weightPilotRows}
+	if c.strata.NumStrata() == 1 {
 		return p, nil
 	}
-	r, err := sampling.NewRouter(src, schema, ks, p.keyOf, weightPilotSeed)
+	r, err := sampling.NewRouter(src, c.schema, c.strata, c.keyOf, weightPilotSeed)
 	if err != nil {
 		return nil, err
 	}
@@ -158,17 +178,43 @@ func NewPartition(src sampling.RowSource, schema *value.Schema, keyCols []string
 	return p, nil
 }
 
-// RoutedArms builds the arms of one partitioned table: one Router at seed
-// feeds one StratumArm per stratum the weight pilot saw. A stratum the
-// pilot never saw is dropped with weight 0. Arm h's seed is
-// sampling.StreamSeed(seed, h); each Extend takes the next rows of its
-// queue, and one call searches at most routeScan(extra, m_h) stream rows.
-// A single-stratum partition is TableArm: no router, no pilot.
-func RoutedArms(src sampling.RowSource, schema *value.Schema, p *Partition, seed uint64) ([]StratumArm, error) {
-	if p.strata.NumStrata() == 1 {
-		return []StratumArm{TableArm(src, schema, p.keyCols, seed)}, nil
+// SampleWeights weighs c's strata by the records of sample, a uniform
+// sample of the table version the weights are for (a maintained
+// reservoir): m = sample.Len() key projections, no storage draw. sample is
+// only read.
+func (c *Cuts) SampleWeights(sample *value.RecordArena) (*Partition, error) {
+	m := sample.Len()
+	if m == 0 {
+		return nil, fmt.Errorf("core: weight sample is empty")
 	}
-	r, err := sampling.NewRouter(src, schema, p.strata, p.keyOf, seed)
+	counts := make([]int64, c.strata.NumStrata())
+	var key []byte
+	for i := 0; i < m; i++ {
+		key = c.keyOf(key[:0], sample.Rec(i))
+		counts[c.strata.StratumOf(key)]++
+	}
+	return &Partition{cuts: c, counts: counts, m: int64(m)}, nil
+}
+
+// Cuts returns the partition's cut points.
+func (p *Partition) Cuts() *Cuts { return p.cuts }
+
+// Counts returns each stratum's count m_h in the weight sample (aliased,
+// not copied); they sum to the sample's size m.
+func (p *Partition) Counts() []int64 { return p.counts }
+
+// RoutedArms builds the arms of one partitioned table: one Router at seed
+// feeds one StratumArm per stratum the weight sample saw. A stratum the
+// sample never saw is dropped with weight 0. Arm h's seed is
+// sampling.StreamSeed(seed, h); each Extend takes the next rows of its
+// queue, and one call searches at most routeScan(extra, m_h, m) stream
+// rows. A single-stratum partition is TableArm: no router, no pilot.
+func RoutedArms(src sampling.RowSource, p *Partition, seed uint64) ([]StratumArm, error) {
+	c := p.cuts
+	if c.strata.NumStrata() == 1 {
+		return []StratumArm{TableArm(src, c.schema, c.keyCols, seed)}, nil
+	}
+	r, err := sampling.NewRouter(src, c.schema, c.strata, c.keyOf, seed)
 	if err != nil {
 		return nil, err
 	}
@@ -180,16 +226,16 @@ func RoutedArms(src sampling.RowSource, schema *value.Schema, p *Partition, seed
 		}
 		arms = append(arms, StratumArm{
 			Label:  fmt.Sprintf("stratum %d", h),
-			Weight: float64(mh) / float64(weightPilotRows),
-			Pilot:  weightPilotRows,
-			Rows:   max(1, int64(math.Round(float64(n)*float64(mh)/float64(weightPilotRows)))),
+			Weight: float64(mh) / float64(p.m),
+			Pilot:  p.m,
+			Rows:   max(1, int64(math.Round(float64(n)*float64(mh)/float64(p.m)))),
 			Seed:   sampling.StreamSeed(seed, h),
 			Extend: func(_ int, extra int64) (*value.RecordArena, error) {
-				full := value.NewRecordArena(schema, int(extra))
-				if err := r.ExtendInto(h, full, extra, routeScan(extra, mh)); err != nil {
+				full := value.NewRecordArena(c.schema, int(extra))
+				if err := r.ExtendInto(h, full, extra, routeScan(extra, mh, p.m)); err != nil {
 					return nil, err
 				}
-				return ProjectSample(full, p.keyCols)
+				return ProjectSample(full, c.keyCols)
 			},
 		})
 	}
@@ -197,11 +243,11 @@ func RoutedArms(src sampling.RowSource, schema *value.Schema, p *Partition, seed
 }
 
 // routeScan caps the stream rows one take of extra rows may search:
-// 16·⌈extra/ŵ_h⌉, sixteen times the draws the stratum's estimated weight
-// predicts. A stratum much rarer than its pilot count suggests then
+// 16·⌈extra·m/m_h⌉, sixteen times the draws the stratum's estimated weight
+// predicts. A stratum much rarer than its weight sample suggests then
 // returns short instead of drawing without bound.
-func routeScan(extra, mh int64) int64 {
-	return 16 * ((extra*weightPilotRows + mh - 1) / mh)
+func routeScan(extra, mh, m int64) int64 {
+	return 16 * ((extra*m + mh - 1) / mh)
 }
 
 // StratumArm is one stratum's sampling stream in a stratified estimation —
@@ -215,11 +261,11 @@ type StratumArm struct {
 	// Weight is the arm's population share N_h/N, or its estimate from a
 	// pilot (Pilot > 0).
 	Weight float64
-	// Pilot is the size m of the uniform pilot that estimated Weight
-	// (ŵ_h = m_h/m, times the shard's exact share on a partitioned
-	// table); 0 when Weight is exact. Arms whose weights one pilot
+	// Pilot is the size m of the uniform weight sample that estimated
+	// Weight (ŵ_h = m_h/m, times the shard's exact share on a partitioned
+	// table); 0 when Weight is exact. Arms whose weights one sample
 	// estimated share a Group, and the composed variance gains that
-	// pilot's term (stats.PilotWeightVariance). A Group's arms are
+	// sample's term (stats.PilotWeightVariance). A Group's arms are
 	// consecutive in an arm set and share Pilot: each table or shard
 	// appends its arms as one run, and dropping arms keeps the order.
 	Pilot int64
@@ -492,8 +538,8 @@ func AdaptiveEstimateStratified(arms []StratumArm, round0 []int64, target Precis
 }
 
 // composedSD is the stratified mean's SD over the live arms: the strata's
-// independent sampling variance Σ w_h²σ_h², plus each weight pilot's term
-// for the run of arms whose weights it estimated (a Group's arms are
+// independent sampling variance Σ w_h²σ_h², plus each weight sample's
+// term for the run of arms whose weights it estimated (a Group's arms are
 // consecutive), over (Σ w_h)². Without pilot arms it is
 // stats.StratifiedSD exactly.
 func composedSD(loops []*armLoop, strata []stats.Stratum) float64 {
@@ -601,18 +647,22 @@ func TableArm(src sampling.RowSource, schema *value.Schema, keyCols []string, se
 	}
 }
 
-// stratifiedArms resolves SampleCF's stratification of src: boundaries
+// stratifiedArms resolves SampleCF's stratification of src: cut points
 // (index-assisted or pilot), the weight pilot, and the routed arms.
 func stratifiedArms(src sampling.RowSource, schema *value.Schema, opts Options) ([]StratumArm, error) {
 	bounds, err := StratumBoundaries(src, schema, opts.KeyColumns, opts.Strata)
 	if err != nil {
 		return nil, err
 	}
-	p, err := NewPartition(src, schema, opts.KeyColumns, bounds)
+	cuts, err := NewCuts(schema, opts.KeyColumns, bounds)
 	if err != nil {
 		return nil, err
 	}
-	return RoutedArms(src, schema, p, opts.Seed)
+	p, err := cuts.PilotWeights(src)
+	if err != nil {
+		return nil, err
+	}
+	return RoutedArms(src, p, opts.Seed)
 }
 
 // ArmRows lists the arms' population sizes, the counts a proportional

@@ -183,6 +183,16 @@ func TestStratumBoundariesPrefersIndex(t *testing.T) {
 	}
 }
 
+// pilotPartition cuts src's key domain at bounds and weighs the strata by
+// the weight pilot.
+func pilotPartition(src sampling.RowSource, schema *value.Schema, keyCols []string, bounds [][]byte) (*Partition, error) {
+	cuts, err := NewCuts(schema, keyCols, bounds)
+	if err != nil {
+		return nil, err
+	}
+	return cuts.PilotWeights(src)
+}
+
 // TestStratifyTablePartitions checks the weight pilot partitions the
 // table: its tallies cover all m pilot rows, the weights sum to one, the
 // arms' estimated sizes cover the table, and the pilot is deterministic.
@@ -192,7 +202,7 @@ func TestStratifyTablePartitions(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p, err := NewPartition(tab, tab.Schema(), nil, bounds)
+	p, err := pilotPartition(tab, tab.Schema(), nil, bounds)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -203,7 +213,7 @@ func TestStratifyTablePartitions(t *testing.T) {
 	if pilot != weightPilotRows {
 		t.Fatalf("pilot tallies %d of %d rows", pilot, weightPilotRows)
 	}
-	arms, err := RoutedArms(tab, tab.Schema(), p, 1)
+	arms, err := RoutedArms(tab, p, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -219,7 +229,7 @@ func TestStratifyTablePartitions(t *testing.T) {
 	if d := rows - tab.NumRows(); d < -int64(len(arms)) || d > int64(len(arms)) || math.Abs(wsum-1) > 1e-12 {
 		t.Fatalf("arms cover %d of %d rows, weights sum to %v", rows, tab.NumRows(), wsum)
 	}
-	again, err := NewPartition(tab, tab.Schema(), nil, bounds)
+	again, err := pilotPartition(tab, tab.Schema(), nil, bounds)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -259,14 +269,14 @@ func TestRoutedNearEmptyStratumAnswers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p, err := NewPartition(tab, schema, nil, bounds)
+	p, err := pilotPartition(tab, schema, nil, bounds)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if p.counts[1] == 0 || p.counts[1] > 40 {
 		t.Fatalf("near-empty stratum drew %d pilot rows, want a handful", p.counts[1])
 	}
-	arms, err := RoutedArms(tab, schema, p, 4)
+	arms, err := RoutedArms(tab, p, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -276,7 +286,7 @@ func TestRoutedNearEmptyStratumAnswers(t *testing.T) {
 		ext, mh := arms[i].Extend, int64(math.Round(arms[i].Weight*float64(weightPilotRows)))
 		arms[i].Extend = func(round int, extra int64) (*value.RecordArena, error) {
 			mu.Lock()
-			caps += routeScan(extra, mh)
+			caps += routeScan(extra, mh, weightPilotRows)
 			mu.Unlock()
 			return ext(round, extra)
 		}
@@ -343,11 +353,11 @@ func TestStratifiedAdaptiveBudgetHolds(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		p, err := NewPartition(tab, tab.Schema(), []string{"a"}, bounds)
+		p, err := pilotPartition(tab, tab.Schema(), []string{"a"}, bounds)
 		if err != nil {
 			t.Fatal(err)
 		}
-		arms, err := RoutedArms(tab, tab.Schema(), p, uint64(trial))
+		arms, err := RoutedArms(tab, p, uint64(trial))
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -153,7 +153,7 @@ func BenchmarkAdaptiveStratifiedZipf(b *testing.B) {
 	run := func(b *testing.B, strata int) {
 		e := New(Config{CacheEntries: -1})
 		defer e.Close()
-		e.partitions = newLRU[partKey, *partEntry](4, nil) // keep only the partition resident
+		e.partitions = newLRU[partKey, *built[*core.Partition]](4, nil) // keep only the partition resident
 		ask := func(seed uint64) Result {
 			return e.Estimate(context.Background(), Request{
 				Table: tab, KeyColumns: []string{"a"}, Codec: codec(b, "rle"),

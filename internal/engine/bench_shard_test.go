@@ -181,3 +181,38 @@ func BenchmarkShardedAdaptive(b *testing.B) {
 	b.ReportMetric(errPts/float64(b.N), "err_pts")
 	b.ReportMetric(rounds/float64(b.N), "rounds/est")
 }
+
+// BenchmarkStratifiedAfterInsert is a live table's stratified ask under
+// churn: each iteration inserts 16 rows into shard 0 of a 4-shard,
+// 200k-row table, then asks a Strata 8, ±5% rle estimate. The write moves
+// shard 0's epoch, so the ask weighs shard 0's strata again while the
+// other shards' partitions stay resident; rows_drawn/op counts every row
+// the ask drew from storage (pilots and routed streams).
+func BenchmarkStratifiedAfterInsert(b *testing.B) {
+	const shards, perShard = 4, 50_000
+	st := liveShardedTable(b, db.New(0), "strat-churn", shards, perShard)
+	e := New(Config{Workers: 2})
+	defer e.Close()
+	ask := func(seed uint64) {
+		res := e.Estimate(context.Background(), Request{
+			Table: st, KeyColumns: []string{"city"}, Codec: codec(b, "rle"),
+			TargetError: 0.05, Strata: 8, Seed: seed,
+		})
+		if res.Err != nil {
+			b.Fatal(res.Err)
+		}
+	}
+	ask(math.MaxUint64) // cut every shard once, outside the timer
+	drawnBefore := rowsDrawn(b)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for j := 0; j < 16; j++ {
+			row := value.Row{value.StringValue("city-hot"), value.IntValue(int32((i*16 + j) % perShard))}
+			if _, err := st.Insert(row); err != nil {
+				b.Fatal(err)
+			}
+		}
+		ask(uint64(i))
+	}
+	b.ReportMetric((rowsDrawn(b)-drawnBefore)/float64(b.N), "rows_drawn/op")
+}

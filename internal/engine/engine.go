@@ -167,14 +167,15 @@ type Request struct {
 
 	// Strata switches the request to stratified sampling: the key domain
 	// splits into up to Strata contiguous ranges (boundaries from an
-	// existing index's separator keys, the maintained reservoir's observed
-	// keys, or a fixed-seed pilot — in that order), each range fed by its
-	// own queue of one routed uniform stream and weighted by a fixed-seed
-	// weight pilot, composed by stratified mean and variance. 0 and 1
-	// both disable it: a Strata 1 ask is answered exactly as a Strata 0
-	// one, cache entry included. Stratified draws are always fresh (the
-	// maintained sample serves only boundary resolution), and a
-	// partitioned table stratifies within each shard.
+	// existing index's separator keys, else a fixed-seed pilot; kept
+	// across writes until the table halves or doubles), each range fed by
+	// its own queue of one routed uniform stream and weighted by the
+	// table's maintained reservoir at the request's epoch (a fixed-seed
+	// weight pilot when it keeps none), composed by stratified mean and
+	// variance. 0 and 1 both disable it: a Strata 1 ask is answered
+	// exactly as a Strata 0 one, cache entry included. Stratified draws
+	// are always fresh (the maintained sample serves only the weights),
+	// and a partitioned table stratifies within each shard.
 	Strata int
 
 	// TargetError switches the request to precision-targeted adaptive
@@ -282,9 +283,10 @@ type Stats struct {
 	ShardScatters, ShardCacheHits, ShardCacheMisses uint64
 	// StratifiedEstimates counts stratified estimates computed (fixed and
 	// adaptive; cache hits excluded); StrataDirBuilds counts partition
-	// builds — boundary plus weight pilots the partition cache did not
-	// absorb. (The name predates routing, which replaced the strata
-	// directory; the /stats field keeps it.)
+	// builds the partition cache did not absorb, one per table version
+	// (see MetricStrataDirBuilds for which draw a storage pilot). (The
+	// name predates routing, which replaced the strata directory; the
+	// /stats field keeps it.)
 	StratifiedEstimates, StrataDirBuilds uint64
 	// CoalescedWaits counts results served by waiting on a concurrent
 	// identical request's in-flight computation (flight.go) instead of
@@ -311,7 +313,8 @@ type Engine struct {
 	cfg        Config
 	cache      *lru[cacheKey, core.Estimate]
 	precision  *lru[precisionKey, precisionEntry]
-	partitions *lru[partKey, *partEntry]
+	cuts       *lru[cutKey, *built[*core.Cuts]]
+	partitions *lru[partKey, *built[*core.Partition]]
 	stale      *lru[any, Result]
 	flights    flightGroup
 	registry   *obs.Registry
@@ -348,7 +351,8 @@ func New(cfg Config) *Engine {
 		cfg:        cfg,
 		cache:      newLRU[cacheKey](cfg.CacheEntries, cloneEstimate),
 		precision:  newLRU[precisionKey](cfg.CacheEntries, clonePrecision),
-		partitions: newLRU[partKey, *partEntry](cfg.CacheEntries, nil),
+		cuts:       newLRU[cutKey, *built[*core.Cuts]](cfg.CacheEntries, nil),
+		partitions: newLRU[partKey, *built[*core.Partition]](cfg.CacheEntries, nil),
 		stale:      newLRU[any](cfg.CacheEntries, cloneResult),
 		breakers:   make(map[breakerKey]*breaker),
 		registry:   reg,

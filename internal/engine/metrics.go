@@ -134,7 +134,7 @@ func newMetrics(r *obs.Registry) metrics {
 		shardHits:       r.Counter(MetricShardHits, "Per-shard result-cache hits within scattered requests."),
 		shardMisses:     r.Counter(MetricShardMisses, "Per-shard result-cache misses within scattered requests."),
 		stratified:      r.Counter(MetricStratified, "Stratified estimates computed, fixed and adaptive (cache hits excluded)."),
-		strataDirBuilds: r.Counter(MetricStrataDirBuilds, "Stratification partition builds: boundary and weight pilots the partition cache did not absorb."),
+		strataDirBuilds: r.Counter(MetricStrataDirBuilds, "Stratification partition builds the partition cache did not absorb, one per table version, key columns and strata count. A build draws a storage pilot only to cut a key domain with no index (1,024 rows, once per domain until its row count halves or doubles) or to weigh the strata of a table with no maintained reservoir at that version (8,192 rows); otherwise it counts the reservoir."),
 		coalescedWaits:  r.Counter(MetricCoalescedWaits, "Results served by waiting on a concurrent identical request's in-flight computation."),
 		panicsRecovered: r.Counter(MetricPanicsRecovered, "Panics converted to per-item or per-shard errors by the engine's isolation traps."),
 		shardRetries:    r.Counter(MetricShardRetries, "Failed shard work units re-run with backoff."),

@@ -17,18 +17,22 @@
 // A stratified table's arms route one uniform stream: core.RoutedArms
 // draws rows of the whole table (or shard) at the request's seed and
 // queues each under the stratum its key falls in, so no stratified ask
-// scans the table. What they share across requests is the partition —
-// boundaries plus weights ŵ_h = m_h/m from a fixed-seed weight pilot of
-// m = 8192 rows, O(H) bytes — cached per (instance, epoch, columns,
-// strata); a partition whose pilot finds one stratum is a single
-// whole-table stream (core.TableArm). Boundary resolution prefers free
-// sources (an existing index's separator keys, then a maintained
-// reservoir's observed keys, then the fixed-seed pilot), and a partition
+// scans the table. What they share across requests is the partition, in
+// two caches. The cut points (core.Cuts, O(H) bytes) are cached per
+// (instance, columns, strata) and survive writes: a table is cut again
+// only when its row count leaves [½, 2]× the count it was cut at. They
+// come from an existing index's separator keys, else from the fixed-seed
+// 1,024-row boundary pilot. The weights ŵ_h = m_h/m are cached per
+// (instance, epoch, columns, strata): counted from the maintained
+// reservoir's records at that epoch (m key projections, no storage draw),
+// or, for a table with no reservoir at the epoch (workload tables, a
+// maintained-sample target of 0, a write racing the ask), from the
+// fixed-seed 8,192-row weight pilot. A partition whose cuts give one
+// stratum is a single whole-table stream (core.TableArm), and a partition
 // build runs under a draw span.
 //
 // Stratified draws are always fresh: the routed stream reads the table
-// itself — the maintained-sample fast path serves only boundary
-// resolution here.
+// itself — the maintained reservoir serves only the weights here.
 package engine
 
 import (
@@ -48,100 +52,124 @@ import (
 	"samplecf/internal/value"
 )
 
-// partKey identifies one cached partition: the table version plus
-// everything the partition depends on. No seed — boundaries derive from the
-// index walk, the reservoir snapshot, or the fixed pilot seed, and weights
-// from the fixed weight-pilot seed, never the request seed, so every
-// request at one table version shares one partition.
-type partKey struct {
+// cutKey identifies one key domain's cached cut points: the table (or
+// shard) instance plus everything the cuts depend on. No epoch — cuts
+// survive writes — and no seed: cut points derive from the index walk or
+// the fixed boundary-pilot seed, never the request seed.
+type cutKey struct {
 	inst    uint64
-	epoch   uint64
 	columns string // "\x00"-joined key column names
 	strata  int
 }
 
-// partEntry is one partition build (boundaries plus weight pilot), shared
-// once-style by every request that resolves the same key while the entry
-// is resident in Engine.partitions. A build that failed stays only until
-// the next request resolves the key, which replaces it and builds anew.
-type partEntry struct {
+// partKey identifies one cached partition: the cuts' key plus the table
+// version whose weights it counts. Weights come from that version's
+// maintained reservoir or the fixed weight-pilot seed, so every request at
+// one table version shares one partition.
+type partKey struct {
+	cutKey
+	epoch uint64
+}
+
+// built is one cached build — a key domain's cuts or a table version's
+// partition — shared once-style by every request that resolves its key
+// while it is resident. For cuts, rows is the source's row count at the
+// version they were cut at.
+type built[T any] struct {
+	rows   int64
 	once   sync.Once
-	part   *core.Partition
+	val    T
 	err    error
 	failed atomic.Bool // set once err is
 }
 
-// resolveBounds picks the cheapest available boundary source for one table:
-// an existing ordered index's separator walk (no row access at all), the
-// maintained reservoir's observed keys at the matching epoch (no storage
-// draw), and only then the fixed-seed pilot sample.
-func (e *Engine) resolveBounds(tab Table, epoch uint64, keyCols []string, strata int) ([][]byte, error) {
-	if ib, ok := tab.(catalog.IndexBoundaryProvider); ok {
-		if bounds, ok := ib.IndexKeyBoundaries(keyCols, strata); ok {
-			return bounds, nil
-		}
-	}
-	if sp, ok := tab.(catalog.SampleProvider); ok {
-		if s, ok := sp.MaintainedSample(1); ok && s.Epoch == epoch {
-			proj, err := core.ProjectSample(s.Arena, keyCols)
-			if err != nil {
-				return nil, err
-			}
-			keys := make([][]byte, proj.Len())
-			for i := range keys {
-				keys[i] = proj.Key(i)
-			}
-			return core.EquiDepthFromKeys(keys, strata), nil
-		}
-	}
-	return core.PilotBoundaries(pinnedSourceAt(tab, epoch), tab.Schema(), keyCols, strata)
-}
-
-// tableArms builds the arms of one catalog table — the whole table, or one
-// shard of a partitioned one. strata ≤ 1 is one whole-table stream
-// (core.TableArm) and resolves no partition; otherwise the partition
-// (boundaries and pilot weights) resolves through the cache, under a draw
-// span when it is built, and the arms route one stream seeded by seed.
-// The pilots and the arms' draws read the table's snapshot at epoch when
-// one is published, so all of them see one row set and read it as records.
-func (e *Engine) tableArms(ctx context.Context, tab Table, epoch uint64, keyCols []string, strata int, seed uint64) ([]core.StratumArm, error) {
-	schema := tab.Schema()
-	src := pinnedSourceAt(tab, epoch)
-	if strata <= 1 {
-		return []core.StratumArm{core.TableArm(src, schema, keyCols, seed)}, nil
-	}
-	ent := &partEntry{}
-	e.partitions.Put(partKey{
-		inst: tab.InstanceID(), epoch: epoch,
-		columns: strings.Join(keyCols, "\x00"), strata: strata,
-	}, ent, func(resident *partEntry) bool {
-		if resident.failed.Load() {
+// shareBuild resolves key through cache: a resident entry is shared
+// unless its build failed or keep (nil keeps every one) rejects it, in
+// which case ent replaces it. The entry's build runs once, under the
+// shard panic trap, so a panic becomes the entry's error; a failed build
+// stays only until the next request resolves the key.
+func shareBuild[K comparable, T any](e *Engine, cache *lru[K, *built[T]], key K, ent *built[T],
+	keep func(*built[T]) bool, build func() (T, error)) (T, error) {
+	cache.Put(key, ent, func(resident *built[T]) bool {
+		if resident.failed.Load() || (keep != nil && !keep(resident)) {
 			return false
 		}
 		ent = resident
 		return true
 	})
 	ent.once.Do(func() {
-		_, end := obs.StartSpan(ctx, stageDraw)
-		defer end.End()
 		defer func() {
 			if ent.err != nil {
 				ent.failed.Store(true)
 			}
 		}()
 		defer e.trapShardPanic(&ent.err)
-		e.strataDirBuilds.Add(1)
-		bounds, err := e.resolveBounds(tab, epoch, keyCols, strata)
-		if err != nil {
-			ent.err = err
-			return
-		}
-		ent.part, ent.err = core.NewPartition(src, schema, keyCols, bounds)
+		ent.val, ent.err = build()
 	})
-	if ent.err != nil {
-		return nil, ent.err
+	return ent.val, ent.err
+}
+
+// tableCuts resolves the cut points of one table's (or shard's) key
+// domain through the cuts cache. A resident cut is kept while the row
+// count at the request's epoch stays within a factor of two of the count
+// it was cut at; outside that it is cut again. The cheapest source wins:
+// an existing ordered index's separator walk (no row access at all), the
+// fixed-seed boundary pilot otherwise. The maintained reservoir is never
+// a cut source, so cuts and weights never come from the same rows.
+func (e *Engine) tableCuts(tab Table, src sampling.RowSource, key cutKey, keyCols []string) (*core.Cuts, error) {
+	n := src.NumRows()
+	return shareBuild(e, e.cuts, key, &built[*core.Cuts]{rows: n},
+		func(resident *built[*core.Cuts]) bool { return n <= 2*resident.rows && 2*n >= resident.rows },
+		func() (*core.Cuts, error) {
+			if ib, ok := tab.(catalog.IndexBoundaryProvider); ok {
+				if bounds, ok := ib.IndexKeyBoundaries(keyCols, key.strata); ok {
+					return core.NewCuts(tab.Schema(), keyCols, bounds)
+				}
+			}
+			bounds, err := core.PilotBoundaries(src, tab.Schema(), keyCols, key.strata)
+			if err != nil {
+				return nil, err
+			}
+			return core.NewCuts(tab.Schema(), keyCols, bounds)
+		})
+}
+
+// tableArms builds the arms of one catalog table — the whole table, or one
+// shard of a partitioned one. strata ≤ 1 is one whole-table stream
+// (core.TableArm) and resolves no partition; otherwise the partition at
+// epoch resolves through the partition cache, under a draw span when it
+// is built, and the arms route one stream seeded by seed. A build takes
+// the cuts from tableCuts and weighs them by the maintained reservoir at
+// epoch (no storage draw), or by the 8,192-row weight pilot when the
+// table keeps no reservoir at that epoch. The pilots and the arms' draws
+// read the table's snapshot at epoch when one is published, so all of
+// them see one row set and read it as records.
+func (e *Engine) tableArms(ctx context.Context, tab Table, epoch uint64, keyCols []string, strata int, seed uint64) ([]core.StratumArm, error) {
+	src := pinnedSourceAt(tab, epoch)
+	if strata <= 1 {
+		return []core.StratumArm{core.TableArm(src, tab.Schema(), keyCols, seed)}, nil
 	}
-	return core.RoutedArms(src, schema, ent.part, seed)
+	key := cutKey{inst: tab.InstanceID(), columns: strings.Join(keyCols, "\x00"), strata: strata}
+	part, err := shareBuild(e, e.partitions, partKey{key, epoch}, &built[*core.Partition]{}, nil,
+		func() (*core.Partition, error) {
+			_, end := obs.StartSpan(ctx, stageDraw)
+			defer end.End()
+			e.strataDirBuilds.Add(1)
+			cuts, err := e.tableCuts(tab, src, key, keyCols)
+			if err != nil {
+				return nil, err
+			}
+			if sp, ok := tab.(catalog.SampleProvider); ok {
+				if s, ok := sp.MaintainedSample(1); ok && s.Epoch == epoch {
+					return cuts.SampleWeights(s.Arena)
+				}
+			}
+			return cuts.PilotWeights(src)
+		})
+	if err != nil {
+		return nil, err
+	}
+	return core.RoutedArms(src, part, seed)
 }
 
 // armOrigin locates one arm of a request: its shard (-1 on an unsharded

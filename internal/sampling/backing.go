@@ -45,6 +45,9 @@ type Backing struct {
 	ar   *value.RecordArena
 	keys []uint64       // storage key per arena slot
 	pos  map[uint64]int // storage key → arena slot
+	// snap is the frozen clone SnapshotArena shares until the reservoir
+	// next changes; nil when none is current.
+	snap *value.RecordArena
 	// inserted counts rows offered since the last Reset: Algorithm R's
 	// stream position t.
 	inserted int64
@@ -84,6 +87,7 @@ func (b *Backing) Insert(key uint64, row value.Row) error {
 	if i, ok := b.pos[key]; ok {
 		// Storage reused the key (e.g. a heap slot refilled after a
 		// delete that was never reported); replace in place.
+		b.snap = nil
 		return b.ar.SetRow(i, row)
 	}
 	b.inserted++
@@ -101,6 +105,7 @@ func (b *Backing) Insert(key uint64, row value.Row) error {
 		return nil
 	}
 	if int(j) < b.ar.Len() {
+		b.snap = nil
 		if err := b.ar.SetRow(int(j), row); err != nil {
 			return err
 		}
@@ -114,6 +119,7 @@ func (b *Backing) Insert(key uint64, row value.Row) error {
 
 // appendLocked grows the reservoir by one slot. Caller holds the mutex.
 func (b *Backing) appendLocked(key uint64, row value.Row) error {
+	b.snap = nil
 	if err := b.ar.Append(row); err != nil {
 		return err
 	}
@@ -133,6 +139,7 @@ func (b *Backing) Delete(key uint64) {
 		return
 	}
 	b.dropped++
+	b.snap = nil
 	last := len(b.keys) - 1
 	if i != last {
 		b.ar.MoveRow(i, last)
@@ -152,12 +159,22 @@ func (b *Backing) Size() int {
 }
 
 // SnapshotArena returns a point-in-time copy of the reservoir's arena.
-// The copy is two contiguous buffer memcopies; subsequent reservoir churn
-// never mutates a returned snapshot.
+// The copy (two contiguous buffer memcopies) is made once per reservoir
+// change and shared: every call until the next accepted insert, in-place
+// replace, delete of a sampled row or Reset returns the same arena, so
+// rejected inserts and repeated reads copy nothing. The shared arena is
+// read-only — callers must never mutate it — and later reservoir churn
+// never mutates it either.
 func (b *Backing) SnapshotArena() *value.RecordArena {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	return b.ar.Clone()
+	if b.snap == nil {
+		// Frozen: capacity clamped to length, so even an accidental
+		// append through the shared arena copies instead of writing
+		// into bytes another reader holds.
+		b.snap = b.ar.Clone().Freeze()
+	}
+	return b.snap
 }
 
 // Rows returns a snapshot of the reservoir decoded into per-column rows,
@@ -221,6 +238,7 @@ func (b *Backing) Reset(seed uint64) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	metricReservoirRebuilds.Inc()
+	b.snap = nil
 	b.ar.Reset()
 	b.keys = b.keys[:0]
 	b.pos = make(map[uint64]int, b.target)

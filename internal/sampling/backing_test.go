@@ -197,3 +197,130 @@ func TestBackingUniformityChiSquared(t *testing.T) {
 		t.Fatalf("maintained sample not uniform: X² = %.1f (df %d), p = %g", x2, df, p)
 	}
 }
+
+// arenaBytes copies an arena's record and key bytes.
+func arenaBytes(ar *value.RecordArena) string {
+	return string(ar.Recs()) + "|" + string(ar.Keys())
+}
+
+// TestBackingSnapshotShared pins SnapshotArena's sharing contract: calls
+// with only rejected inserts (or deletes of unsampled rows) between them
+// return the same arena; an accepted insert, an in-place replace, a
+// delete of a sampled row and Reset each make the next call return a new
+// one; and an arena handed out before churn is byte-identical after it.
+func TestBackingSnapshotShared(t *testing.T) {
+	b, err := NewBacking(backingSchema, 32, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := uint64(0); i < 32; i++ {
+		if err := b.Insert(i, rowOf(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	first := b.SnapshotArena()
+	frozen := arenaBytes(first)
+	if b.SnapshotArena() != first {
+		t.Fatal("two reads with no change between them returned different arenas")
+	}
+
+	var rejected, accepted int
+	for i := uint64(32); i < 2000; i++ {
+		prev := b.SnapshotArena()
+		if err := b.Insert(i, rowOf(i)); err != nil {
+			t.Fatal(err)
+		}
+		_, in := b.pos[i]
+		switch got := b.SnapshotArena(); {
+		case in && got == prev:
+			t.Fatalf("insert %d entered the reservoir but the snapshot was not renewed", i)
+		case !in && got != prev:
+			t.Fatalf("insert %d was rejected but the snapshot was renewed", i)
+		case in:
+			accepted++
+		default:
+			rejected++
+		}
+	}
+	if rejected == 0 || accepted == 0 {
+		t.Fatalf("churn saw %d rejected and %d accepted inserts; the test needs both", rejected, accepted)
+	}
+
+	sampled := b.keys[0]
+	prev := b.SnapshotArena()
+	if err := b.Insert(sampled, rowOf(9_999)); err != nil { // reused key: in-place replace
+		t.Fatal(err)
+	}
+	if b.SnapshotArena() == prev {
+		t.Error("an in-place replace kept the old snapshot")
+	}
+	prev = b.SnapshotArena()
+	b.Delete(1_000_000) // never inserted: the reservoir does not change
+	if b.SnapshotArena() != prev {
+		t.Error("a delete of an unsampled row renewed the snapshot")
+	}
+	b.Delete(sampled)
+	if b.SnapshotArena() == prev {
+		t.Error("a delete of a sampled row kept the old snapshot")
+	}
+	prev = b.SnapshotArena()
+	b.Reset(6)
+	if got := b.SnapshotArena(); got == prev || got.Len() != 0 {
+		t.Errorf("Reset kept the old snapshot (%d rows)", got.Len())
+	}
+	if arenaBytes(first) != frozen {
+		t.Error("an arena handed out before churn changed under it")
+	}
+}
+
+// TestBackingSnapshotSharedConcurrent reads shared snapshots while other
+// goroutines insert and delete; under -race it checks that no write
+// reaches an arena a reader holds.
+func TestBackingSnapshotSharedConcurrent(t *testing.T) {
+	b, err := NewBacking(backingSchema, 64, 9)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const writers, perWriter = 2, 2000
+	done := make(chan struct{})
+	for w := 0; w < writers; w++ {
+		go func(w uint64) {
+			defer func() { done <- struct{}{} }()
+			for i := uint64(0); i < perWriter; i++ {
+				key := w*perWriter + i
+				if err := b.Insert(key, rowOf(key)); err != nil {
+					t.Error(err)
+					return
+				}
+				if i%3 == 0 {
+					b.Delete(key - i/2)
+				}
+			}
+		}(uint64(w))
+	}
+	readers := make(chan struct{})
+	for r := 0; r < 2; r++ {
+		go func() {
+			defer func() { readers <- struct{}{} }()
+			for i := 0; i < 500; i++ {
+				snap := b.SnapshotArena()
+				before := arenaBytes(snap)
+				own := value.NewRecordArena(backingSchema, snap.Len())
+				if err := own.AppendAll(snap); err != nil {
+					t.Error(err)
+					return
+				}
+				if arenaBytes(snap) != before || arenaBytes(own) != before {
+					t.Error("a shared snapshot changed while it was read")
+					return
+				}
+			}
+		}()
+	}
+	for w := 0; w < writers; w++ {
+		<-done
+	}
+	for r := 0; r < 2; r++ {
+		<-readers
+	}
+}
