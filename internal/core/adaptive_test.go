@@ -288,14 +288,13 @@ func TestPrecisionValidate(t *testing.T) {
 		{TargetError: 1},
 		{TargetError: 0.02, Confidence: 1.5},
 		{TargetError: 0.02, MaxSampleRows: -1},
-		{TargetError: 0.02, MinSampleRows: 500, MaxSampleRows: 100},
 	}
 	for i, p := range bad {
 		if err := p.Validate(); err == nil {
 			t.Errorf("case %d: %+v accepted", i, p)
 		}
 	}
-	good := Precision{TargetError: 0.02, Confidence: 0.9, MaxSampleRows: 1000, MinSampleRows: 100}
+	good := Precision{TargetError: 0.02, Confidence: 0.9, MaxSampleRows: 1000}
 	if err := good.Validate(); err != nil {
 		t.Errorf("valid target rejected: %v", err)
 	}
@@ -309,16 +308,18 @@ func TestAdaptiveEmptyExtension(t *testing.T) {
 	if err := sampling.UniformWRInto(tab, 16, rng.New(1), sample); err != nil {
 		t.Fatal(err)
 	}
-	p, err := PrepareFromArena(sample, tab.NumRows(), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, err = p.AdaptiveEstimate(
-		Precision{TargetError: 0.001},
-		Options{Codec: mustCodec(t, "nullsuppression")},
-		func(round int, extra int64) (*value.RecordArena, error) {
+	arm := StratumArm{
+		Label: "table", Weight: 1, Rows: tab.NumRows(),
+		Extend: func(round int, extra int64) (*value.RecordArena, error) {
+			if round == 0 {
+				return sample, nil
+			}
 			return value.NewRecordArena(tab.Schema(), 0), nil
-		})
+		},
+	}
+	_, err := AdaptiveEstimateStratified([]StratumArm{arm}, []int64{16},
+		Precision{TargetError: 0.001},
+		Options{Codec: mustCodec(t, "nullsuppression")})
 	if err == nil {
 		t.Fatal("empty extension accepted")
 	}

@@ -178,7 +178,7 @@ func SampleCF(src sampling.RowSource, schema *value.Schema, opts Options) (Estim
 		return Estimate{}, fmt.Errorf("core: sample size is zero (fraction %v)", opts.Fraction)
 	}
 	if opts.Strata > 1 {
-		res, err := sampleCFStratified(src, schema, opts, Precision{}, r)
+		res, err := sampleCFArms(src, schema, opts, Precision{}, r)
 		return res.Estimate, err
 	}
 

@@ -15,9 +15,11 @@
 // sample — a maintained reservoir's records (SampleWeights) or a
 // fixed-seed weight pilot (PilotWeights) — never from the rows that cut.
 // A fixed-size ask is the loop's round 0 with no target: one fan-out, no
-// refinement, no CI. The engine runs a partitioned table's shards through
-// the same loop, as arms. Strata ≤ 1 is no stratification: SampleCF and
-// SampleCFAdaptive take their plain routes.
+// refinement, no CI. The loop is the only adaptive loop: an unstratified
+// table is its one-stratum case, a single TableArm, and the engine runs a
+// partitioned table's shards through it as arms. Strata ≤ 1 is no
+// stratification: SampleCF takes its plain route, SampleCFAdaptive runs
+// the loop over one TableArm.
 //
 // A note on what stratification can and cannot buy: Theorem 1's bound is
 // data-independent — composed across strata at proportional allocation it
@@ -31,6 +33,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -63,15 +66,16 @@ const pilotSeed uint64 = 0x70696c6f74 // "pilot"
 const pilotRows int64 = 1024
 
 // StratumBoundaries resolves up to strata-1 ascending boundary keys for the
-// index on keyCols: from an existing index's separator walk when src offers
-// one (IndexBoundarySource), from a fixed-seed pilot sample's empirical
-// quantiles otherwise. strata ≤ 1 is the degenerate single stratum — nil
-// boundaries, no pilot drawn.
-func StratumBoundaries(src sampling.RowSource, schema *value.Schema, keyCols []string, strata int) ([][]byte, error) {
+// index on keyCols: from ib's separator walk when ib is non-nil and has an
+// index on keyCols, from a fixed-seed pilot sample of src's rows otherwise.
+// The index and the pilot's rows come from separate arguments, so a caller
+// can walk the table's index and pilot a pinned snapshot of it. strata ≤ 1
+// is the degenerate single stratum — nil boundaries, no pilot drawn.
+func StratumBoundaries(ib IndexBoundarySource, src sampling.RowSource, schema *value.Schema, keyCols []string, strata int) ([][]byte, error) {
 	if strata <= 1 {
 		return nil, nil
 	}
-	if ib, ok := src.(IndexBoundarySource); ok {
+	if ib != nil {
 		if bounds, ok := ib.IndexKeyBoundaries(keyCols, strata); ok {
 			return bounds, nil
 		}
@@ -368,6 +372,11 @@ func (l *armLoop) contribution() float64 {
 // each: no round takes the total past target.MaxSampleRows unless round 0
 // already did.
 //
+// For Theorem-1 codecs a round also plans at least the bound-implied total
+// ⌈(z/2ε)²⌉ rows: by Cauchy–Schwarz no allocation reaches the target with
+// fewer, so the jump never overshoots, and on a single arm it is the
+// unstratified loop's jump straight to the needed r.
+//
 // A zero target.TargetError is a fixed-size ask: the loop runs round 0
 // alone and merges the arms' estimates, with no CI (no SDScale, so no
 // bootstrap), no convergence and no refinement. The result carries
@@ -403,6 +412,7 @@ func AdaptiveEstimateStratified(arms []StratumArm, round0 []int64, target Precis
 	for i := range arms {
 		loops[i] = &armLoop{idx: i, arm: &arms[i], dirty: true}
 	}
+	all := slices.Clone(loops) // loops loses the arms it drops
 	res := AdaptiveResult{}
 
 	// grow draws extra rows from one arm's resumable stream and folds them
@@ -494,7 +504,7 @@ func AdaptiveEstimateStratified(arms []StratumArm, round0 []int64, target Precis
 				est.SampleDuration = l.drawn
 				l.est, l.dirty = est, false
 				if !fixed {
-					if l.method, l.sd, err = l.prep.SDScale(armOpts, target, l.round); err != nil {
+					if l.method, l.sd, err = l.prep.SDScale(armOpts, l.round); err != nil {
 						return AdaptiveResult{}, fmt.Errorf("core: %s: %w", l.arm.Label, err)
 					}
 				}
@@ -519,7 +529,11 @@ func AdaptiveEstimateStratified(arms []StratumArm, round0 []int64, target Precis
 		if target.MaxSampleRows > 0 && rows >= target.MaxSampleRows {
 			break // budget exhausted: honest non-convergence
 		}
-		chosen, extras := extension(loops, target.MaxSampleRows-rows, target.MaxSampleRows > 0)
+		var floor int64
+		if res.Method == CIMethodTheorem1 {
+			floor = Theorem1RequiredRows(z, target.TargetError) - rows
+		}
+		chosen, extras := extension(loops, floor, target.MaxSampleRows-rows, target.MaxSampleRows > 0)
 		if err := scatter(chosen, extras); err != nil {
 			return AdaptiveResult{}, err
 		}
@@ -532,6 +546,13 @@ func AdaptiveEstimateStratified(arms []StratumArm, round0 []int64, target Precis
 		ests[i] = l.est
 	}
 	res.Estimate = MergeStratified(weights, ests)
+	for _, l := range all {
+		if l.prep != nil {
+			res.Prepared++
+			res.PrepDuration += l.prep.PrepDuration()
+			res.SortedRows += l.prep.SampleRows()
+		}
+	}
 	res.AchievedError = half
 	res.CILo, res.CIHi = clamp01(cf-half), clamp01(cf+half)
 	return res, nil
@@ -566,12 +587,13 @@ func composedSD(loops []*armLoop, strata []stats.Stratum) float64 {
 }
 
 // extension plans one refinement round: choose the arms whose variance
-// contribution dominates, double their cumulative sample, and split the
-// new rows by Neyman allocation across them. Under a budget (capped) the
-// extras scale to the remaining rows, at least one each; when fewer rows
-// remain than arms were chosen, only the largest contributors (earlier
-// arm first on ties) draw, one row each. Every returned extra is ≥ 1.
-func extension(loops []*armLoop, remaining int64, capped bool) ([]*armLoop, []int64) {
+// contribution dominates, double their cumulative sample — or plan floor
+// rows when that is more — and split the new rows by Neyman allocation
+// across them. Under a budget (capped) the extras scale to the remaining
+// rows, at least one each; when fewer rows remain than arms were chosen,
+// only the largest contributors (earlier arm first on ties) draw, one row
+// each. Every returned extra is ≥ 1.
+func extension(loops []*armLoop, floor, remaining int64, capped bool) ([]*armLoop, []int64) {
 	var maxC float64
 	for _, l := range loops {
 		if c := l.contribution(); c > maxC {
@@ -590,6 +612,7 @@ func extension(loops []*armLoop, remaining int64, capped bool) ([]*armLoop, []in
 			want += l.prep.SampleRows()
 		}
 	}
+	want = max(want, floor)
 	if !capped || want <= remaining {
 		return chosen, sampling.NeymanAllocate(want, counts, sigmas)
 	}
@@ -627,9 +650,9 @@ func extension(loops []*armLoop, remaining int64, capped bool) ([]*armLoop, []in
 }
 
 // TableArm is the single arm of an unstratified source: the whole table as
-// one resumable stream at seed (sampling.ExtendWRInto, the unstratified
-// adaptive draw), with no router and no pilot. It serves each shard of a
-// partitioned table without strata, and a partition whose pilot found
+// one resumable uniform-WR stream at seed (sampling.ExtendWRInto), with no
+// router and no pilot. It serves a plain table's adaptive ask, each shard
+// of a partitioned table without strata, and a partition whose cuts give
 // one stratum.
 func TableArm(src sampling.RowSource, schema *value.Schema, keyCols []string, seed uint64) StratumArm {
 	return StratumArm{
@@ -647,10 +670,15 @@ func TableArm(src sampling.RowSource, schema *value.Schema, keyCols []string, se
 	}
 }
 
-// stratifiedArms resolves SampleCF's stratification of src: cut points
-// (index-assisted or pilot), the weight pilot, and the routed arms.
-func stratifiedArms(src sampling.RowSource, schema *value.Schema, opts Options) ([]StratumArm, error) {
-	bounds, err := StratumBoundaries(src, schema, opts.KeyColumns, opts.Strata)
+// tableArms resolves SampleCF's arms over src: one TableArm when
+// opts.Strata ≤ 1, else the stratification — cut points (index-assisted
+// or pilot), the weight pilot, and the routed arms.
+func tableArms(src sampling.RowSource, schema *value.Schema, opts Options) ([]StratumArm, error) {
+	if opts.Strata <= 1 {
+		return []StratumArm{TableArm(src, schema, opts.KeyColumns, opts.Seed)}, nil
+	}
+	ib, _ := src.(IndexBoundarySource)
+	bounds, err := StratumBoundaries(ib, src, schema, opts.KeyColumns, opts.Strata)
 	if err != nil {
 		return nil, err
 	}
@@ -675,14 +703,14 @@ func ArmRows(arms []StratumArm) []int64 {
 	return out
 }
 
-// sampleCFStratified is the stratified route of SampleCF (a zero target:
-// one round) and SampleCFAdaptive: resolve the routed arms, allocate the
-// r0 round-0 rows proportionally (the Neyman pilot of an adaptive ask),
-// and run the arm loop. The partition's build time counts as sampling.
-func sampleCFStratified(src sampling.RowSource, schema *value.Schema,
+// sampleCFArms runs SampleCF's stratified route (a zero target: one
+// round) and every SampleCFAdaptive ask: resolve the arms, allocate the r0
+// round-0 rows proportionally (the Neyman pilot of an adaptive ask), and
+// run the arm loop. The partition's build time counts as sampling.
+func sampleCFArms(src sampling.RowSource, schema *value.Schema,
 	opts Options, target Precision, r0 int64) (AdaptiveResult, error) {
 	t0 := time.Now()
-	arms, err := stratifiedArms(src, schema, opts)
+	arms, err := tableArms(src, schema, opts)
 	if err != nil {
 		return AdaptiveResult{}, err
 	}

@@ -62,12 +62,10 @@ func TestStratifiedSingleStratumMatchesUnstratified(t *testing.T) {
 }
 
 // TestStratifiedAdaptiveSingleStratumMatchesUnstratified pins the same
-// contract on the precision-targeted path for bootstrap-CI codecs: a single
-// identity stratum replays the unstratified loop exactly — same round
-// streams, same bootstrap seeds, same doubling schedule — so every reported
-// field coincides. (Theorem-1 codecs are exempt: the unstratified loop
-// jumps straight to the bound-implied r while the stratified loop doubles,
-// an intentional schedule difference.)
+// contract on the precision-targeted path: Strata=1 and the unstratified
+// ask both run the arm loop over one TableArm — same round streams, same
+// bootstrap seeds, same growth schedule (the Theorem-1 jump included) — so
+// every reported field coincides.
 func TestStratifiedAdaptiveSingleStratumMatchesUnstratified(t *testing.T) {
 	tab := adaptiveTable(t, "zipf", 20000, 3)
 	opts := Options{Codec: mustCodec(t, "rle"), Seed: 3}
@@ -145,7 +143,7 @@ func TestStratumBoundariesPrefersIndex(t *testing.T) {
 	tab := adaptiveTable(t, "uniform", 4000, 23)
 	canned := [][]byte{append([]byte("m"), make([]byte, 19)...)}
 	src := &boundarySource{RowSource: tab, bounds: canned}
-	got, err := StratumBoundaries(src, tab.Schema(), nil, 4)
+	got, err := StratumBoundaries(src, src, tab.Schema(), nil, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -157,7 +155,7 @@ func TestStratumBoundariesPrefersIndex(t *testing.T) {
 	}
 	// Pilot fallback: plain table, ascending bounds, seed-independent.
 	for _, strata := range []int{2, 4, 8} {
-		b1, err := StratumBoundaries(tab, tab.Schema(), nil, strata)
+		b1, err := StratumBoundaries(nil, tab, tab.Schema(), nil, strata)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -169,7 +167,7 @@ func TestStratumBoundariesPrefersIndex(t *testing.T) {
 				t.Fatalf("strata %d: pilot boundaries not ascending", strata)
 			}
 		}
-		b2, err := StratumBoundaries(tab, tab.Schema(), nil, strata)
+		b2, err := StratumBoundaries(nil, tab, tab.Schema(), nil, strata)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -178,7 +176,7 @@ func TestStratumBoundariesPrefersIndex(t *testing.T) {
 		}
 	}
 	// Strata ≤ 1: no boundaries, no pilot.
-	if b, err := StratumBoundaries(tab, tab.Schema(), nil, 1); err != nil || len(b) != 0 {
+	if b, err := StratumBoundaries(nil, tab, tab.Schema(), nil, 1); err != nil || len(b) != 0 {
 		t.Fatalf("strata=1: bounds=%v err=%v", b, err)
 	}
 }
@@ -198,7 +196,7 @@ func pilotPartition(src sampling.RowSource, schema *value.Schema, keyCols []stri
 // arms' estimated sizes cover the table, and the pilot is deterministic.
 func TestStratifyTablePartitions(t *testing.T) {
 	tab := adaptiveTable(t, "zipf", 6000, 29)
-	bounds, err := StratumBoundaries(tab, tab.Schema(), nil, 8)
+	bounds, err := StratumBoundaries(nil, tab, tab.Schema(), nil, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -265,7 +263,7 @@ func TestRoutedNearEmptyStratumAnswers(t *testing.T) {
 		}
 	}
 	src := &boundarySource{RowSource: tab, bounds: [][]byte{lo, hi}}
-	bounds, err := StratumBoundaries(src, schema, nil, 3)
+	bounds, err := StratumBoundaries(src, src, schema, nil, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -349,7 +347,7 @@ func TestStratifiedAdaptiveBudgetHolds(t *testing.T) {
 		if trial%4 == 0 {
 			codec = "rle"
 		}
-		bounds, err := StratumBoundaries(tab, tab.Schema(), []string{"a"}, strata)
+		bounds, err := StratumBoundaries(nil, tab, tab.Schema(), []string{"a"}, strata)
 		if err != nil {
 			t.Fatal(err)
 		}

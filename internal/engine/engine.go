@@ -43,6 +43,7 @@ package engine
 import (
 	"context"
 	"fmt"
+	"maps"
 	"runtime"
 	"strings"
 	"sync"
@@ -882,7 +883,7 @@ func (e *Engine) evaluateItem(ctx context.Context, it *batchItem) Result {
 		if r <= 0 {
 			r = sampling.SampleSize(it.req.Table.NumRows(), it.req.Fraction)
 		}
-		res, failed, half, err := e.runArms(ctx, it.req, it.key.epoch, it.key.pageSize, core.Precision{}, r)
+		res, failed, half, err := e.runArms(ctx, it.req, it.key.epoch, it.key.pageSize, core.Precision{}, r, nil)
 		if err != nil {
 			return Result{Err: fmt.Errorf("engine: request %d: %w", it.idx, err)}
 		}
@@ -1034,20 +1035,6 @@ func pinnedSourceAt(t Table, epoch uint64) sampling.RowSource {
 	return t
 }
 
-// pinnedSource is pinnedSourceAt without the epoch gate: adaptive
-// extension rounds sample the table's current state (the pre-snapshot
-// behavior already allowed rows to change between rounds), so any
-// published snapshot qualifies — the win is that the whole round reads
-// one consistent row set, lock-free.
-func pinnedSource(t Table) sampling.RowSource {
-	if sp, ok := t.(catalog.SnapshotProvider); ok {
-		if view, _, err := sp.SnapshotRows(); err == nil {
-			return view
-		}
-	}
-	return t
-}
-
 // zFor converts a confidence level into the normal z multiplier, applying
 // the 0.95 default.
 func zFor(confidence float64) float64 {
@@ -1060,14 +1047,13 @@ func zFor(confidence float64) float64 {
 // evaluateAdaptive runs one precision-targeted request on a pool worker:
 // grow the sample in resumable rounds (estimate → CI-check → extend) until
 // the target half-width is met or the row budget runs out, then publish the
-// achieved precision to the dominance cache. Sharded and stratified asks
-// run the multi-arm loop (runArms); a plain table's rounds
-// come from the maintained sample when its reservoir can cover the entire
-// row budget at the request's epoch, otherwise from fresh resumable
-// uniform-WR draws (runAdaptive). Batch items with identical adaptive keys
-// share one loop (it.ag); ctx is re-checked before every extension round,
-// so an expired deadline stops the loop at the next round boundary
-// instead of running the budget out.
+// achieved precision to the dominance cache. Every adaptive ask runs the
+// one arm loop (runArms): a plain table is a single arm whose round 0 is
+// the batch's shared draw (it.r0g), a sharded or stratified table one arm
+// per shard, stratum, or shard×stratum cell. Batch items with identical
+// adaptive keys share one loop (it.ag); ctx is re-checked before every
+// extension round, so an expired deadline stops the loop at the next round
+// boundary instead of running the budget out.
 func (e *Engine) evaluateAdaptive(ctx context.Context, it *batchItem) Result {
 	ag := it.ag
 	ag.once.Do(func() {
@@ -1075,21 +1061,11 @@ func (e *Engine) evaluateAdaptive(ctx context.Context, it *batchItem) Result {
 		// error for the whole group, not a "done" group with neither
 		// result nor error.
 		defer e.trapShardPanic(&ag.err)
-		if _, sharded := it.req.Table.(catalog.Sharded); sharded || it.req.Strata > 0 {
-			// Shards, strata, and shard×stratum cells are all arms of
-			// the one multi-arm loop.
-			ag.res, ag.failed, _, ag.err = e.runArms(ctx, it.req, it.pkey.epoch, it.pkey.pageSize,
-				adaptiveTarget(it.req), initialAdaptiveRows(it.req))
-			if ag.err == nil {
-				e.adaptiveRounds.Add(uint64(ag.res.Rounds))
-				e.adaptiveRows.Add(uint64(ag.res.Estimate.SampleRows))
-				if ag.failed == nil {
-					e.publishPrecision(it.pkey, ag.res, it.req.Confidence)
-				}
-			}
-			return
+		ag.res, ag.failed, _, ag.err = e.runArms(ctx, it.req, it.pkey.epoch, it.pkey.pageSize,
+			adaptiveTarget(it.req), initialAdaptiveRows(it.req), it.r0g)
+		if ag.err == nil && ag.failed == nil {
+			e.publishPrecision(it.pkey, ag.res, it.req.Confidence)
 		}
-		ag.res, ag.err = e.runAdaptive(ctx, it.req, it.pkey, it.r0g)
 	})
 	if ag.err != nil {
 		return Result{Err: fmt.Errorf("engine: request %d: %w", it.idx, ag.err)}
@@ -1144,82 +1120,51 @@ func initialAdaptiveRows(req Request) int64 {
 	return r0
 }
 
-// runAdaptive executes the precision-targeted loop for one adaptive key.
-// The round-0 draw is shared through r0g with every adaptive batch-mate at
-// the same (table version, seed, r0, freshness) — the loops diverge per
-// codec from round 1 on. The maintained route is tried first when the
-// reservoir offers at least r0 rows at the request's epoch: its loop runs
-// with the budget capped at the reservoir size, and only if that capped
-// budget runs out unconverged does the request rerun fresh against storage
-// with the full budget — the common converging case never touches storage.
-func (e *Engine) runAdaptive(ctx context.Context, req Request, pkey precisionKey, r0g *round0Group) (core.AdaptiveResult, error) {
-	pageSize := req.PageSize
-	if pageSize == 0 {
-		pageSize = e.cfg.PageSize
-	}
-	target := adaptiveTarget(req)
-	opts := core.Options{
-		Codec:      req.Codec,
-		KeyColumns: req.KeyColumns,
-		PageSize:   pageSize,
-		Seed:       req.Seed,
-	}
-	r0 := initialAdaptiveRows(req)
-	r0g.once.Do(func() {
+// plainArm is a plain table's one arm. Its round 0 is the batch's shared
+// draw, drawn here once per group and projected to the request's key (an
+// identity projection aliases the shared arena, which the loop's prepared
+// index copies on its first extension). Later rounds continue that stream:
+// resumable uniform-WR draws from the table's snapshot at epoch
+// (core.TableArm) after a fresh round 0, WOR gathers of further reservoir
+// slots after a maintained one.
+func (e *Engine) plainArm(ctx context.Context, req Request, epoch uint64, r0 int64, g *round0Group) (core.StratumArm, error) {
+	g.once.Do(func() {
 		_, end := obs.StartSpan(ctx, stageDraw)
 		t0 := time.Now()
-		e.drawAdaptiveRound0(req, pkey.epoch, r0, r0g)
+		e.drawAdaptiveRound0(req, epoch, r0, g)
 		e.stageDrawHist.Observe(time.Since(t0))
 		end.End()
 	})
-	if r0g.err != nil {
-		return core.AdaptiveResult{}, r0g.err
+	if g.err != nil {
+		return core.StratumArm{}, g.err
 	}
-
-	var res core.AdaptiveResult
-	var err error
-	if r0g.maintained {
-		// Cap the budget at what the reservoir can serve without
-		// replacement; rounds gather snapshot slots by byte range.
-		capped := target
-		if snapLen := int64(r0g.snap.Arena.Len()); snapLen < capped.MaxSampleRows {
-			capped.MaxSampleRows = snapLen
-		}
-		chosen := make(map[int64]struct{}, len(r0g.chosen))
-		for idx := range r0g.chosen {
-			chosen[idx] = struct{}{}
-		}
-		extend := func(round int, rows int64) (*value.RecordArena, error) {
-			idx, err := sampling.WORExtendIndices(int64(r0g.snap.Arena.Len()), rows, req.Seed, round, chosen)
+	src := sampling.RowSource(req.Table) // the reservoir arm reads no storage
+	if !g.maintained {
+		src = pinnedSourceAt(req.Table, epoch)
+	}
+	arm := core.TableArm(src, req.Table.Schema(), req.KeyColumns, req.Seed)
+	extend := arm.Extend
+	if g.maintained {
+		chosen := maps.Clone(g.chosen) // this loop's continuation of round 0's slots
+		extend = func(round int, rows int64) (*value.RecordArena, error) {
+			idx, err := sampling.WORExtendIndices(int64(g.snap.Arena.Len()), rows, req.Seed, round, chosen)
 			if err != nil {
 				return nil, err
 			}
 			full := value.NewRecordArena(req.Table.Schema(), int(rows))
-			if err := full.AppendFrom(r0g.snap.Arena, idx); err != nil {
+			if err := full.AppendFrom(g.snap.Arena, idx); err != nil {
 				return nil, err
 			}
 			return core.ProjectSample(full, req.KeyColumns)
 		}
-		res, err = e.adaptiveLoop(ctx, req, opts, capped, r0g.full, extend)
-		if err != nil {
-			return core.AdaptiveResult{}, err
-		}
-		if !res.Converged && capped.MaxSampleRows < target.MaxSampleRows {
-			// The reservoir ran out below the requested budget: rerun
-			// fresh from storage with the full budget rather than
-			// reporting a weaker budget than the caller asked for.
-			e.samplesDrawn.Add(1)
-			res, err = e.freshAdaptive(ctx, req, opts, target, r0)
-		}
-	} else {
-		res, err = e.adaptiveLoop(ctx, req, opts, target, r0g.full, e.freshExtend(req))
 	}
-	if err != nil {
-		return core.AdaptiveResult{}, err
+	arm.Extend = func(round int, extra int64) (*value.RecordArena, error) {
+		if round == 0 {
+			return core.ProjectSample(g.full, req.KeyColumns)
+		}
+		return extend(round, extra)
 	}
-	e.evaluated.Add(1)
-	e.publishPrecision(pkey, res, req.Confidence)
-	return res, nil
+	return arm, nil
 }
 
 // drawAdaptiveRound0 fills a shared round-0 group: a maintained-snapshot
@@ -1254,80 +1199,6 @@ func (e *Engine) drawAdaptiveRound0(req Request, epoch uint64, r0 int64, g *roun
 		return
 	}
 	g.full = full
-}
-
-// freshExtend returns the resumable fresh-draw extension for a request;
-// each round draws against the table's pinned snapshot when one is
-// published.
-func (e *Engine) freshExtend(req Request) core.ExtendFunc {
-	return func(round int, rows int64) (*value.RecordArena, error) {
-		full := value.NewRecordArena(req.Table.Schema(), int(rows))
-		if err := sampling.ExtendWRInto(pinnedSource(req.Table), full, rows, req.Seed, round); err != nil {
-			return nil, err
-		}
-		return core.ProjectSample(full, req.KeyColumns)
-	}
-}
-
-// freshAdaptive runs a complete adaptive loop against storage, including
-// its own round-0 draw (the maintained-route fallback path; not shared).
-func (e *Engine) freshAdaptive(ctx context.Context, req Request, opts core.Options, target core.Precision, r0 int64) (core.AdaptiveResult, error) {
-	if err := ctx.Err(); err != nil {
-		return core.AdaptiveResult{}, err
-	}
-	full := value.NewRecordArena(req.Table.Schema(), int(r0))
-	if err := sampling.ExtendWRInto(pinnedSource(req.Table), full, r0, req.Seed, 0); err != nil {
-		return core.AdaptiveResult{}, err
-	}
-	return e.adaptiveLoop(ctx, req, opts, target, full, e.freshExtend(req))
-}
-
-// adaptiveLoop prepares the (possibly shared) round-0 arena for this
-// request's key columns and drives AdaptiveEstimate with ctx re-checked
-// before every extension. When the projection is the identity the prepared
-// index aliases the shared arena; the first extension copies it
-// (core.ExtendFromArena's copy-on-extend), which is exactly what keeps the
-// shared round-0 bytes safe for the other loops in the group.
-func (e *Engine) adaptiveLoop(ctx context.Context, req Request, opts core.Options, target core.Precision,
-	round0 *value.RecordArena, extend core.ExtendFunc) (core.AdaptiveResult, error) {
-	if err := ctx.Err(); err != nil {
-		return core.AdaptiveResult{}, err
-	}
-	guarded := func(round int, rows int64) (*value.RecordArena, error) {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		return extend(round, rows)
-	}
-	_, endSort := obs.StartSpan(ctx, stageSort)
-	initial, err := core.ProjectSample(round0, req.KeyColumns)
-	if err != nil {
-		endSort.End()
-		return core.AdaptiveResult{}, err
-	}
-	prep, err := core.PrepareFromArena(initial, req.Table.NumRows(), nil)
-	if err != nil {
-		endSort.End()
-		return core.AdaptiveResult{}, err
-	}
-	e.stageSortHist.Observe(prep.PrepDuration())
-	endSort.End()
-	e.prepared.Add(1)
-	_, endRounds := obs.StartSpan(ctx, stageRounds)
-	t0 := time.Now()
-	res, err := prep.AdaptiveEstimate(target, opts, guarded)
-	e.stageRoundsHist.Observe(time.Since(t0))
-	endRounds.End()
-	if err != nil {
-		return core.AdaptiveResult{}, err
-	}
-	e.adaptiveRounds.Add(uint64(res.Rounds))
-	e.adaptiveRows.Add(uint64(res.Estimate.SampleRows))
-	// PrepDuration and SampleRows here include every extension round's
-	// incremental sort+merge, so the prepare ledger covers adaptive growth.
-	e.prepareNanos.Add(uint64(prep.PrepDuration().Nanoseconds()))
-	e.sortRows.Add(uint64(prep.SampleRows()))
-	return res, nil
 }
 
 // validate rejects malformed requests before they reach the pool. Every

@@ -1,18 +1,21 @@
-// Sharded and stratified estimation through one arm model. Under the
-// sampling algebra a shard is a stratum whose boundary is a partition
-// rather than a key range: weights N_h/N compose the mean and √(Σ w_h²σ_h²)
-// the interval whichever boundary cut the table. So a request becomes one
-// flat set of core.StratumArm — one arm per key-range stratum of a plain
-// table (Request.Strata), one per shard of a partitioned table without
-// strata, one per shard×stratum cell otherwise, with cell weights
-// rescaled to whole-table shares. Every stratified ask, and every sharded
-// adaptive one, runs core.AdaptiveEstimateStratified over the arms
-// (runArms), each arm's draws under the engine's grow hook (hookArm:
-// deadline, shard fault point, panic trap, retries, and the AllowPartial
-// drop); a fixed-r ask is the loop's round 0 with no target. (Fixed-r
-// asks on a partitioned table without strata take the scatter path of
-// shard.go, whose per-shard cache keeps serving untouched shards.) The
-// engine rewrites Strata 1 to 0: one stratum is no stratification.
+// Adaptive, sharded and stratified estimation through one arm model.
+// Under the sampling algebra a shard is a stratum whose boundary is a
+// partition rather than a key range: weights N_h/N compose the mean and
+// √(Σ w_h²σ_h²) the interval whichever boundary cut the table, and an
+// unsharded, unstratified table is the one-stratum case. So a request
+// becomes one flat set of core.StratumArm — one arm for a plain table
+// (plainArm), one per key-range stratum of a plain table (Request.Strata),
+// one per shard of a partitioned table without strata, one per
+// shard×stratum cell otherwise, with cell weights rescaled to whole-table
+// shares. Every adaptive ask and every stratified one runs
+// core.AdaptiveEstimateStratified over the arms (runArms), each arm's
+// draws under the engine's grow hook (hookArm: deadline, shard fault
+// point, panic trap, retries, and the AllowPartial drop); a fixed-r ask is
+// the loop's round 0 with no target. (Fixed-r asks on a partitioned table
+// without strata take the scatter path of shard.go, whose per-shard cache
+// keeps serving untouched shards, and fixed-r asks on a plain table the
+// shared-sample batch path of engine.go.) The engine rewrites Strata 1 to
+// 0: one stratum is no stratification.
 //
 // A stratified table's arms route one uniform stream: core.RoutedArms
 // draws rows of the whole table (or shard) at the request's seed and
@@ -112,21 +115,18 @@ func shareBuild[K comparable, T any](e *Engine, cache *lru[K, *built[T]], key K,
 // tableCuts resolves the cut points of one table's (or shard's) key
 // domain through the cuts cache. A resident cut is kept while the row
 // count at the request's epoch stays within a factor of two of the count
-// it was cut at; outside that it is cut again. The cheapest source wins:
-// an existing ordered index's separator walk (no row access at all), the
-// fixed-seed boundary pilot otherwise. The maintained reservoir is never
-// a cut source, so cuts and weights never come from the same rows.
+// it was cut at; outside that it is cut again. core.StratumBoundaries
+// picks the cheapest source: the table's ordered index's separator walk
+// (no row access at all), else the fixed-seed boundary pilot over src.
+// The maintained reservoir is never a cut source, so cuts and weights
+// never come from the same rows.
 func (e *Engine) tableCuts(tab Table, src sampling.RowSource, key cutKey, keyCols []string) (*core.Cuts, error) {
 	n := src.NumRows()
 	return shareBuild(e, e.cuts, key, &built[*core.Cuts]{rows: n},
 		func(resident *built[*core.Cuts]) bool { return n <= 2*resident.rows && 2*n >= resident.rows },
 		func() (*core.Cuts, error) {
-			if ib, ok := tab.(catalog.IndexBoundaryProvider); ok {
-				if bounds, ok := ib.IndexKeyBoundaries(keyCols, key.strata); ok {
-					return core.NewCuts(tab.Schema(), keyCols, bounds)
-				}
-			}
-			bounds, err := core.PilotBoundaries(src, tab.Schema(), keyCols, key.strata)
+			ib, _ := tab.(core.IndexBoundarySource)
+			bounds, err := core.StratumBoundaries(ib, src, tab.Schema(), keyCols, key.strata)
 			if err != nil {
 				return nil, err
 			}
@@ -285,47 +285,93 @@ func (e *Engine) hookArm(ctx context.Context, req Request, arm *core.StratumArm,
 	}
 }
 
-// runArms runs one sharded or stratified ask through the arm loop: the
-// arm set from requestArms, each arm's Extend under the grow hook, a
-// proportional allocation of r0 rows as round 0, and
-// core.AdaptiveEstimateStratified — one round when target is zero (a
-// fixed-r ask), refinement to the target otherwise (round 0 doubling as
-// the Neyman pilot). A degraded outcome — shard arms dropped under
-// AllowPartial — also returns the failed shards, ascending, and
-// degradedHalfWidth over the survivors' weights and sampled rows. The
-// caller caches only a whole outcome: a survivors-only answer must never
-// be served as a whole-table result.
+// runArms runs one ask through the arm loop: the arm set — a plain
+// table's one arm (plainArm; r0g non-nil) or requestArms' shards, strata,
+// or cells — each arm's Extend under the grow hook, a proportional
+// allocation of r0 rows as round 0, and core.AdaptiveEstimateStratified —
+// one round when target is zero (a fixed-r ask), refinement to the target
+// otherwise (round 0 doubling as the Neyman pilot). A plain arm on the
+// maintained route runs with its budget capped at the reservoir; if that
+// loop ends unconverged below the requested budget, a fresh TableArm loop
+// reruns with the full budget rather than report a weaker one. A degraded
+// outcome — shard arms dropped under AllowPartial — also returns the
+// failed shards, ascending, and degradedHalfWidth over the survivors'
+// weights and sampled rows. The caller caches only a whole outcome: a
+// survivors-only answer must never be served as a whole-table result.
 func (e *Engine) runArms(ctx context.Context, req Request, epoch uint64, pageSize int,
-	target core.Precision, r0 int64) (res core.AdaptiveResult, failed []int, half float64, err error) {
-	arms, origins, err := e.requestArms(ctx, req, epoch)
-	if err != nil {
-		return res, nil, 0, fmt.Errorf("stratify: %w", err)
+	target core.Precision, r0 int64, r0g *round0Group) (res core.AdaptiveResult, failed []int, half float64, err error) {
+	var arms []core.StratumArm
+	var origins []armOrigin
+	budget := target
+	if r0g != nil {
+		arm, err := e.plainArm(ctx, req, epoch, r0, r0g)
+		if err != nil {
+			return res, nil, 0, err
+		}
+		if r0g.maintained {
+			budget.MaxSampleRows = min(budget.MaxSampleRows, int64(r0g.snap.Arena.Len()))
+		}
+		arms, origins = []core.StratumArm{arm}, []armOrigin{{shard: -1}}
+	} else {
+		if arms, origins, err = e.requestArms(ctx, req, epoch); err != nil {
+			return res, nil, 0, fmt.Errorf("stratify: %w", err)
+		}
+		e.samplesDrawn.Add(1) // the arms' streams are this request's storage draw
 	}
 	if req.Strata > 0 {
 		e.stratified.Add(1)
 		e.strataCountHist.Observe(time.Duration(len(arms)))
 	}
-	drawn := make([]int64, len(arms))
-	for i := range arms {
-		var rows *obs.Counter
-		if req.Strata > 0 {
-			rows = e.strataRows.With(strconv.Itoa(origins[i].stratum))
+	var round0, drawn []int64
+	run := func(target core.Precision) error {
+		drawn = make([]int64, len(arms))
+		for i := range arms {
+			var rows *obs.Counter
+			if req.Strata > 0 {
+				rows = e.strataRows.With(strconv.Itoa(origins[i].stratum))
+			}
+			e.hookArm(ctx, req, &arms[i], origins[i].shard, rows, &drawn[i])
 		}
-		e.hookArm(ctx, req, &arms[i], origins[i].shard, rows, &drawn[i])
+		stage, hist := stageRounds, e.stageRoundsHist
+		if target.TargetError == 0 {
+			stage, hist = stageCompress, e.stageCompressHist
+		}
+		round0 = sampling.Allocate(r0, core.ArmRows(arms), nil)
+		sctx, end := obs.StartSpan(ctx, stage)
+		t0 := time.Now()
+		res, err = core.AdaptiveEstimateStratified(arms, round0, target, core.Options{
+			Codec: req.Codec, PageSize: pageSize, Seed: req.Seed, Strata: req.Strata,
+		})
+		wall := time.Since(t0)
+		hist.Observe(wall)
+		if err == nil {
+			// The arms prepared their indexes inside the loop: record that
+			// time as the loop's sort stage, capped at its wall time (the
+			// sum over parallel arms may exceed it).
+			obs.RecordSpan(sctx, stageSort, t0, min(res.PrepDuration, wall))
+		}
+		end.End()
+		if err != nil {
+			return err
+		}
+		e.prepared.Add(uint64(res.Prepared))
+		e.prepareNanos.Add(uint64(res.PrepDuration.Nanoseconds()))
+		e.sortRows.Add(uint64(res.SortedRows))
+		e.stageSortHist.Observe(res.PrepDuration)
+		if target.TargetError > 0 {
+			e.adaptiveRounds.Add(uint64(res.Rounds))
+			e.adaptiveRows.Add(uint64(res.Estimate.SampleRows))
+		}
+		return nil
 	}
-	stage, hist := stageRounds, e.stageRoundsHist
-	if target.TargetError == 0 {
-		stage, hist = stageCompress, e.stageCompressHist
+	err = run(budget)
+	if err == nil && !res.Converged && budget.MaxSampleRows < target.MaxSampleRows {
+		// The reservoir ran out below the requested budget: rerun fresh
+		// from storage with the full budget.
+		e.samplesDrawn.Add(1)
+		arms = []core.StratumArm{core.TableArm(pinnedSourceAt(req.Table, epoch), req.Table.Schema(), req.KeyColumns, req.Seed)}
+		err = run(target)
 	}
-	round0 := sampling.Allocate(r0, core.ArmRows(arms), nil)
-	e.samplesDrawn.Add(1)
-	_, end := obs.StartSpan(ctx, stage)
-	t0 := time.Now()
-	res, err = core.AdaptiveEstimateStratified(arms, round0, target, core.Options{
-		Codec: req.Codec, PageSize: pageSize, Seed: req.Seed, Strata: req.Strata,
-	})
-	hist.Observe(time.Since(t0))
-	end.End()
 	if err != nil {
 		return core.AdaptiveResult{}, nil, 0, err
 	}

@@ -164,6 +164,30 @@ func (e SpanEnd) End() {
 	pprof.SetGoroutineLabels(e.prev)
 }
 
+// RecordSpan records an already-measured stage under ctx's current span:
+// dur of work that ran inside that span, from start, without a span of its
+// own (the index prepares an adaptive loop measures as it goes). It
+// applies no pprof label. No-op without a trace.
+func RecordSpan(ctx context.Context, name string, start time.Time, dur time.Duration) {
+	tc, ok := ctx.Value(traceKey{}).(traceCtx)
+	if !ok || tc.tr == nil {
+		return
+	}
+	tr := tc.tr
+	tr.mu.Lock()
+	defer tr.mu.Unlock()
+	if len(tr.spans) >= maxSpans {
+		tr.dropped++
+		return
+	}
+	tr.spans = append(tr.spans, span{
+		name:    name,
+		parent:  tc.parent,
+		startNs: int64(start.Sub(tr.start)),
+		durNs:   int64(dur),
+	})
+}
+
 // SpanInfo is one recorded span in exported form.
 type SpanInfo struct {
 	Name   string        `json:"name"`

@@ -57,6 +57,25 @@ func TestTraceTree(t *testing.T) {
 	}
 }
 
+// TestRecordSpan checks a measured stage lands as a child of the current
+// span with the given start and duration, and is a no-op untraced.
+func TestRecordSpan(t *testing.T) {
+	RecordSpan(context.Background(), "sort", time.Now(), time.Second) // must not panic
+	tr := NewTrace("estimate")
+	ctx, end := StartSpan(WithTrace(context.Background(), tr), "rounds")
+	start := time.Now()
+	RecordSpan(ctx, "sort", start, 3*time.Millisecond)
+	end.End()
+	spans := tr.Spans()
+	if len(spans) != 2 {
+		t.Fatalf("got %d spans, want 2", len(spans))
+	}
+	s := spans[1]
+	if s.Name != "sort" || s.Parent != 0 || s.Dur != 3*time.Millisecond || s.Start < spans[0].Start {
+		t.Fatalf("recorded span = %+v, want sort child of rounds lasting 3ms", s)
+	}
+}
+
 func TestStageTotalsSortedDesc(t *testing.T) {
 	tr := NewTrace("x")
 	ctx := WithTrace(context.Background(), tr)

@@ -177,25 +177,6 @@ func (b *Backing) SnapshotArena() *value.RecordArena {
 	return b.snap
 }
 
-// Rows returns a snapshot of the reservoir decoded into per-column rows,
-// for consumers outside the estimation hot path (the hot path gathers from
-// SnapshotArena instead). The payloads alias the snapshot's own buffers.
-func (b *Backing) Rows() []value.Row {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	out := make([]value.Row, b.ar.Len())
-	snap := b.ar.Clone()
-	for i := range out {
-		row, err := snap.Row(i)
-		if err != nil {
-			// Unreachable: every slot was encoded by Insert.
-			panic(fmt.Sprintf("sampling: corrupt reservoir slot %d: %v", i, err))
-		}
-		out[i] = row
-	}
-	return out
-}
-
 // Stale reports whether the reservoir needs a rebuild, given the table's
 // current live row count: deletes have eroded it below half target even
 // though the table still has enough rows to fill that much. A fresh or

@@ -60,7 +60,7 @@ func TestBackingDeleteIsExact(t *testing.T) {
 	if b.Size() != 9 {
 		t.Fatalf("size after sampled delete = %d, want 9", b.Size())
 	}
-	for _, row := range b.Rows() {
+	for _, row := range snapshotRows(t, b) {
 		if string(row[0]) == string(value.Int64Value(3)) {
 			t.Fatal("deleted row still in reservoir")
 		}
@@ -85,9 +85,24 @@ func TestBackingReusedKeyReplacesInPlace(t *testing.T) {
 	if b.Size() != 1 {
 		t.Fatalf("size = %d, want 1", b.Size())
 	}
-	if got := b.Rows()[0]; string(got[0]) != string(value.Int64Value(20)) {
+	if got := snapshotRows(t, b)[0]; string(got[0]) != string(value.Int64Value(20)) {
 		t.Fatalf("row = %v, want replacement", got)
 	}
+}
+
+// snapshotRows decodes the reservoir's shared snapshot into rows.
+func snapshotRows(t *testing.T, b *Backing) []value.Row {
+	t.Helper()
+	ar := b.SnapshotArena()
+	rows := make([]value.Row, ar.Len())
+	for i := range rows {
+		row, err := ar.Row(i)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rows[i] = row
+	}
+	return rows
 }
 
 func TestBackingStalenessPolicy(t *testing.T) {
@@ -174,7 +189,7 @@ func TestBackingUniformityChiSquared(t *testing.T) {
 		for i := uint64(100); i < 150; i++ {
 			b.Insert(i, rowOf(i))
 		}
-		for _, row := range b.Rows() {
+		for _, row := range snapshotRows(t, b) {
 			id := uint64(value.DecodeInt64(row[0]))
 			c, ok := live[id]
 			if !ok {
