@@ -119,33 +119,24 @@ func ciMethodFor(opts Options) string {
 	return CIMethodBootstrap
 }
 
-// ciHalfWidth computes the current CI half-width under the given method.
-func (p *PreparedIndex) ciHalfWidth(method string, opts Options, z float64, round int) (float64, error) {
-	if method == CIMethodTheorem1 {
-		return z * Theorem1StdDevBound(p.SampleRows()), nil
-	}
-	// Bootstrap SD over the current sample arena; the resample seed
-	// derives from (Seed, round) so rounds are decorrelated but replays
-	// are deterministic.
-	ci, err := bootstrapWindow(p.keySchema, p.win, opts.Codec, opts.PageSize, bootstrapResamples,
-		0.05, opts.Seed^0xb007^uint64(round)<<32)
-	if err != nil {
-		return 0, fmt.Errorf("core: bootstrap CI: %w", err)
-	}
-	return z * ci.SD, nil
-}
-
 // SDScale returns the confidence-free standard-deviation scale of the
 // prepared sample's CF estimate under the codec's CI method (the CI
 // half-width at confidence z is z·scale): Theorem 1's 1/(2√r) for the
 // null-suppression family, the bootstrap SD otherwise. It is the
 // per-arm σ_h the adaptive loop composes by stratified variance
 // (stats.StratifiedSD); round decorrelates the bootstrap's resample
-// stream between refinement rounds.
+// stream between refinement rounds, so replays stay deterministic.
 func (p *PreparedIndex) SDScale(opts Options, round int) (method string, scale float64, err error) {
 	method = ciMethodFor(opts)
-	scale, err = p.ciHalfWidth(method, opts, 1, round)
-	return method, scale, err
+	if method == CIMethodTheorem1 {
+		return method, Theorem1StdDevBound(p.SampleRows()), nil
+	}
+	ci, err := bootstrapWindow(p.keySchema, p.win, opts.Codec, opts.PageSize, bootstrapResamples,
+		0.05, opts.Seed^0xb007^uint64(round)<<32)
+	if err != nil {
+		return method, 0, fmt.Errorf("core: bootstrap CI: %w", err)
+	}
+	return method, ci.SD, nil
 }
 
 // Theorem1RequiredRows inverts Theorem 1's bound: the smallest r with
