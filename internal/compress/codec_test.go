@@ -545,16 +545,17 @@ func TestPropertyAllCodecsRoundTrip(t *testing.T) {
 
 func TestMeasureRecords(t *testing.T) {
 	schema := charSchema(20)
-	var recs [][]byte
+	ar := value.NewRecordArena(schema, 500)
 	for i := 0; i < 500; i++ {
-		rec, _ := value.EncodeRecord(schema, value.Row{value.StringValue("abc")}, nil)
-		recs = append(recs, rec)
+		if err := ar.Append(value.Row{value.StringValue("abc")}); err != nil {
+			t.Fatal(err)
+		}
 	}
 	codec, err := Lookup("nullsuppression")
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := MeasureRecords(schema, codec, recs, 100)
+	res, err := MeasureResample(schema, codec, ar.Full(), nil, 100)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -565,7 +566,7 @@ func TestMeasureRecords(t *testing.T) {
 	if cf := res.CF(); cf != 0.2 {
 		t.Fatalf("CF = %v, want 0.2", cf)
 	}
-	if _, err := MeasureRecords(schema, codec, recs, 0); err == nil {
+	if _, err := MeasureResample(schema, codec, ar.Full(), nil, 0); err == nil {
 		t.Fatal("rowsPerPage=0 accepted")
 	}
 }

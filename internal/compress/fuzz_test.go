@@ -197,6 +197,17 @@ func FuzzSizer(f *testing.F) {
 		{value.StringValue(""), value.Int64Value(-1 << 63)},
 		{value.StringValue("abc"), value.Int64Value(0)},
 	}))
+	// Key-sorted pages, where the distinct count hashes nothing on the
+	// leading column; and rows that repeat adjacently in arrival order,
+	// where it skips repeats and hashes from the first descent on.
+	sorted := slices.Collect(slices.Chunk(mixedData, sizerSchemas[0].RowWidth()))
+	slices.SortFunc(sorted, bytes.Compare)
+	f.Add(uint8(0), uint8(16), bytes.Join(sorted, nil))
+	var repeated []value.Row
+	for _, r := range mixedRows[:24] {
+		repeated = append(repeated, r, r, r)
+	}
+	f.Add(uint8(0), uint8(0), sizerSeed(f, 0, repeated))
 
 	codecs := sizerCodecs(f)
 	f.Fuzz(func(t *testing.T, sel, rpp uint8, data []byte) {

@@ -39,44 +39,6 @@ func MeasureTree(t *btree.Tree, keySchema *value.Schema, codec Codec) (Result, e
 	return res, err
 }
 
-// MeasureRecords chunks fixed-width records into synthetic pages of
-// rowsPerPage and measures them with codec, sequentially. It is the
-// array-backed path the bootstrap resamples through. Page codecs are sized
-// page by page (pageSize: encoded only where they have no PageSizer) and
-// report sizes only; any other codec runs a session, whose Result keeps
-// the encodings.
-func MeasureRecords(keySchema *value.Schema, codec Codec, records [][]byte, rowsPerPage int) (Result, error) {
-	if rowsPerPage <= 0 {
-		return Result{}, fmt.Errorf("compress: rowsPerPage %d must be positive", rowsPerPage)
-	}
-	if p, ok := codec.(Paged); ok && keySchema != nil {
-		var res Result
-		for start := 0; start < len(records); start += rowsPerPage {
-			page := records[start:min(start+rowsPerPage, len(records))]
-			n, de, err := pageSize(p.PC, keySchema, page)
-			if err != nil {
-				return Result{}, err
-			}
-			res.Pages++
-			res.Rows += int64(len(page))
-			res.CompressedBytes += int64(n)
-			res.DictEntries += de
-		}
-		res.UncompressedBytes = res.Rows * int64(keySchema.RowWidth())
-		return res, nil
-	}
-	sess, err := codec.NewSession(keySchema)
-	if err != nil {
-		return Result{}, err
-	}
-	for start := 0; start < len(records); start += rowsPerPage {
-		if err := sess.AddPage(records[start:min(start+rowsPerPage, len(records))]); err != nil {
-			return Result{}, err
-		}
-	}
-	return sess.Finish()
-}
-
 // pageViewPool recycles the [][]byte record views MeasureArena builds per
 // page: rowsPerPage slice headers pointing into the arena, dead once the
 // page is measured.
@@ -129,13 +91,13 @@ func encodedSize(pc PageCodec, schema *value.Schema, records [][]byte) (int, int
 // on those columns, with no projected copy) —
 // and returns the size tally only (Result.Encoded stays nil). Page codecs
 // are sized page by page through their PageSizer (encoded where they have
-// none), and GlobalDict from its per-column distinct counts over the whole
-// arena; any other codec runs a session. Pages of a page codec whose
+// none), and GlobalDict from its per-column distinct counts over the rows
+// perm names; any other codec runs a session. Pages of a page codec whose
 // contract forbids receiver state (PageSizer, PageAppender) fan out across
 // a bounded worker group; page sizes are summed, so the result is
 // deterministic regardless of worker interleaving and equal to EncodeArena's.
 func MeasureArena(keySchema *value.Schema, codec Codec, win value.Window, perm []int32, rowsPerPage int) (Result, error) {
-	return measureArena(keySchema, codec, win, perm, rowsPerPage, true)
+	return measureArena(keySchema, codec, win, perm, rowsPerPage, true, false)
 }
 
 // EncodeArena is MeasureArena through the real encoders: every page is
@@ -143,12 +105,25 @@ func MeasureArena(keySchema *value.Schema, codec Codec, win value.Window, perm [
 // ground truth's route (core.TrueCF), and so the independent oracle the
 // sizers are checked against.
 func EncodeArena(keySchema *value.Schema, codec Codec, win value.Window, perm []int32, rowsPerPage int) (Result, error) {
-	return measureArena(keySchema, codec, win, perm, rowsPerPage, false)
+	return measureArena(keySchema, codec, win, perm, rowsPerPage, false, false)
 }
 
-func measureArena(keySchema *value.Schema, codec Codec, win value.Window, perm []int32, rowsPerPage int, size bool) (res Result, err error) {
+// MeasureResample is MeasureArena for one of many re-measurements of an
+// index: a bootstrap resample, whose perm may name a row of win more than
+// once and another not at all (it names win.Len() rows in all). It sizes
+// through the same sizers, on the calling goroutine with no page fan-out
+// (the resamples of one index are many and small), and it is not tallied
+// onto the compress counters, which count measured indexes.
+func MeasureResample(keySchema *value.Schema, codec Codec, win value.Window, perm []int32, rowsPerPage int) (Result, error) {
+	return measureArena(keySchema, codec, win, perm, rowsPerPage, true, true)
+}
+
+// measureArena sizes (size) or encodes the pages of win in perm order. A
+// resample runs on the calling goroutine and is not tallied; an index's
+// pages may fan out, and its measurement is tallied.
+func measureArena(keySchema *value.Schema, codec Codec, win value.Window, perm []int32, rowsPerPage int, size, resample bool) (res Result, err error) {
 	defer func() {
-		if err == nil {
+		if err == nil && !resample {
 			recordMeasure(codec, res)
 		}
 	}()
@@ -181,20 +156,24 @@ func measureArena(keySchema *value.Schema, codec Codec, win value.Window, perm [
 	case Paged:
 		_, sizer := c.PC.(PageSizer)
 		_, appender := c.PC.(PageAppender)
-		if workers := measureWorkers(pages); workers > 1 && (sizer || appender) {
+		if workers := measureWorkers(pages); !resample && workers > 1 && (sizer || appender) {
 			return measureArenaParallel(keySchema, c.PC, tally, win, perm, rowsPerPage, pages, workers)
 		}
 		return measureArenaSequential(keySchema, c.PC, tally, win, perm, rowsPerPage)
 	case GlobalDict:
 		if size {
-			// The distinct counts are order-free, so perm is not consulted;
-			// the fault point still fires once per page.
+			// The distinct counts run over the rows perm names, in perm
+			// order; the fault point still fires once per page.
 			for p := 0; p < pages; p++ {
 				if err := encodePoint.Check(); err != nil {
 					return Result{}, err
 				}
 			}
-			return sizeGlobal(c, keySchema, win, pages)
+			viewPtr := pageViewPool.Get().(*[][]byte)
+			defer pageViewPool.Put(viewPtr)
+			rows := fillPageView((*viewPtr)[:0], win, perm, 0, n)
+			*viewPtr = rows[:0]
+			return sizeGlobal(c, keySchema, rows, pages)
 		}
 	}
 	// Any other codec: feed a session page by page (cross-page state forces

@@ -1,6 +1,8 @@
 package compress
 
 import (
+	"bytes"
+	"slices"
 	"testing"
 
 	"samplecf/internal/rng"
@@ -35,8 +37,8 @@ func measureTestArena(t *testing.T, n int) (*value.Schema, *value.RecordArena, [
 	return schema, ar, perm
 }
 
-// permRecords materializes the [][]byte view MeasureRecords consumes, in
-// perm order.
+// permRecords materializes the [][]byte view an encoding session consumes,
+// in perm order.
 func permRecords(ar *value.RecordArena, perm []int32) [][]byte {
 	recs := make([][]byte, len(perm))
 	for i, pi := range perm {
@@ -79,9 +81,9 @@ func sameTally(t *testing.T, what string, got, want Result) {
 }
 
 // TestMeasureArenaMatchesMeasureRecords: for every registered codec, the
-// arena paths — sized (MeasureArena) and encoded (EncodeArena) — and the
-// record path (MeasureRecords) must all report exactly the sizes an
-// encoding session reports.
+// arena routes — sized (MeasureArena), encoded (EncodeArena) and sized as a
+// resample (MeasureResample) — must all report exactly the sizes an
+// encoding session reports when it is fed the same records page by page.
 func TestMeasureArenaMatchesMeasureRecords(t *testing.T) {
 	schema, ar, perm := measureTestArena(t, 700)
 	recs := permRecords(ar, perm)
@@ -93,15 +95,7 @@ func TestMeasureArenaMatchesMeasureRecords(t *testing.T) {
 				t.Fatal(err)
 			}
 			want := encodeSession(t, schema, codec, recs, rpp)
-			rec, err := MeasureRecords(schema, codec, recs, rpp)
-			if err != nil {
-				t.Fatal(err)
-			}
-			sameTally(t, "MeasureRecords", rec, want)
-			for _, route := range []struct {
-				name    string
-				measure func(*value.Schema, Codec, value.Window, []int32, int) (Result, error)
-			}{{"MeasureArena", MeasureArena}, {"EncodeArena", EncodeArena}} {
+			for _, route := range arenaRoutes {
 				got, err := route.measure(schema, codec, ar.Full(), perm, rpp)
 				if err != nil {
 					t.Fatal(err)
@@ -112,6 +106,72 @@ func TestMeasureArenaMatchesMeasureRecords(t *testing.T) {
 				sameTally(t, route.name, got, want)
 			}
 		})
+	}
+}
+
+// arenaRoutes are the three ways to measure an arena window in perm order.
+var arenaRoutes = []struct {
+	name    string
+	measure func(*value.Schema, Codec, value.Window, []int32, int) (Result, error)
+}{{"MeasureArena", MeasureArena}, {"EncodeArena", EncodeArena}, {"MeasureResample", MeasureResample}}
+
+// TestMeasureResampleRepeatsAndOmits: a bootstrap resample's perm names
+// some rows several times and others not at all. For every codec —
+// globaldict and globaldict-p4, whose size-only route counts distinct
+// values over the rows perm names, included — every route must size such
+// a perm exactly as an encoding session sizes its records, in draw order
+// and in key order.
+func TestMeasureResampleRepeatsAndOmits(t *testing.T) {
+	schema, ar, _ := measureTestArena(t, 700)
+	g := rng.New(7)
+	drawn := make([]int32, ar.Len())
+	for i := range drawn {
+		drawn[i] = int32(g.Intn(ar.Len()))
+	}
+	sorted := slices.Clone(drawn)
+	slices.SortStableFunc(sorted, func(a, b int32) int { return bytes.Compare(ar.Key(int(a)), ar.Key(int(b))) })
+	const rpp = 64
+	for _, name := range Names() {
+		codec, err := Lookup(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, perm := range [][]int32{drawn, sorted} {
+			want := encodeSession(t, schema, codec, permRecords(ar, perm), rpp)
+			for _, route := range arenaRoutes {
+				got, err := route.measure(schema, codec, ar.Full(), perm, rpp)
+				if err != nil {
+					t.Fatal(err)
+				}
+				sameTally(t, name+" "+route.name, got, want)
+			}
+		}
+	}
+}
+
+// TestMeasureResampleNotTallied: the compress counters count measured
+// indexes, so sizing a resample leaves them where they were.
+func TestMeasureResampleNotTallied(t *testing.T) {
+	schema, ar, perm := measureTestArena(t, 200)
+	for _, name := range []string{"pagedict", "globaldict"} {
+		codec, err := Lookup(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pages := measurePages.With(familyOf(name))
+		before := pages.Value()
+		if _, err := MeasureResample(schema, codec, ar.Full(), perm, 16); err != nil {
+			t.Fatal(err)
+		}
+		if got := pages.Value(); got != before {
+			t.Errorf("%s: MeasureResample moved the page counter by %d", name, got-before)
+		}
+		if _, err := MeasureArena(schema, codec, ar.Full(), perm, 16); err != nil {
+			t.Fatal(err)
+		}
+		if got := pages.Value(); got != before+13 {
+			t.Errorf("%s: MeasureArena moved the page counter by %d, want 13", name, got-before)
+		}
 	}
 }
 

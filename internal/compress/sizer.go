@@ -112,9 +112,20 @@ type suppressedSizer interface {
 // them: an open-addressing hash table whose slots hold the index+1 of the
 // first row seen with each value (0 = empty). A probe compares the stored
 // row's bytes with the candidate's, so equal hashes never merge values.
+//
+// The count reads the rows' order first and hashes only where it must. A
+// value equal to its predecessor is never new. While a column's values
+// ascend, every value is new and the count is the run count, so nothing is
+// hashed; at the first descent the table is seeded with the run heads seen
+// so far, and every later row that differs from its predecessor is
+// hashed. The count is exact in any order. The leading column of a
+// key-sorted page — a sorted index's, and every bootstrap resample's —
+// ascends (an integer column's stored bytes descend once, where the sign
+// changes), so it hashes little or nothing.
 type distinctSet struct {
 	slots []int32
 	mask  uint64
+	heads []int32 // run heads while the values ascend: row indices, each a new value
 }
 
 var (
@@ -141,61 +152,66 @@ func (s *distinctSet) reset(n int) {
 // records, calling onNew (when non-nil) with the row index of each value's
 // first appearance.
 func (s *distinctSet) countPage(records [][]byte, lo, hi int, onNew func(i int)) int {
-	s.reset(len(records))
+	s.heads = s.heads[:0]
+	hashing := false
 	m := 0
+	var prev []byte
 	for i, rec := range records {
 		v := rec[lo:hi]
-		for pos := maphash.Bytes(distinctSeed, v) & s.mask; ; pos = (pos + 1) & s.mask {
-			j := s.slots[pos]
-			if j == 0 {
-				s.slots[pos] = int32(i + 1)
-				m++
-				if onNew != nil {
-					onNew(i)
+		if i > 0 && string(v) == string(prev) {
+			continue
+		}
+		ascending := !hashing && (i == 0 || string(v) > string(prev))
+		prev = v
+		if ascending {
+			s.heads = append(s.heads, int32(i))
+		} else {
+			if !hashing {
+				// First descent: every run head so far is a distinct value.
+				hashing = true
+				s.reset(len(records))
+				for _, j := range s.heads {
+					s.insert(records, int(j), lo, hi)
 				}
-				break
 			}
-			if string(records[j-1][lo:hi]) == string(v) {
-				break
+			if !s.insert(records, i, lo, hi) {
+				continue
 			}
+		}
+		m++
+		if onNew != nil {
+			onNew(i)
 		}
 	}
 	return m
 }
 
-// countArena counts the distinct values of column bytes [lo, hi) over
-// every row of the window win: countPage over the arena's flat record
-// buffer, so no per-row view is built.
-func (s *distinctSet) countArena(win value.Window, lo, hi int) int {
-	n, w, recs := win.Len(), win.Stride(), win.Recs()
-	s.reset(n)
-	m := 0
-	for i := 0; i < n; i++ {
-		v := recs[i*w+lo : i*w+hi]
-		for pos := maphash.Bytes(distinctSeed, v) & s.mask; ; pos = (pos + 1) & s.mask {
-			j := int(s.slots[pos]) - 1
-			if j < 0 {
-				s.slots[pos] = int32(i + 1)
-				m++
-				break
-			}
-			if string(recs[j*w+lo:j*w+hi]) == string(v) {
-				break
-			}
+// insert adds the value of row i's column bytes [lo, hi), reporting whether
+// it was new.
+func (s *distinctSet) insert(records [][]byte, i, lo, hi int) bool {
+	v := records[i][lo:hi]
+	for pos := maphash.Bytes(distinctSeed, v) & s.mask; ; pos = (pos + 1) & s.mask {
+		j := s.slots[pos]
+		if j == 0 {
+			s.slots[pos] = int32(i + 1)
+			return true
+		}
+		if string(records[j-1][lo:hi]) == string(v) {
+			return false
 		}
 	}
-	return m
 }
 
-// sizeGlobal is GlobalDict's size-only route over an arena: per column, the
-// 4-byte entry count, d fixed-width entries and one p-byte pointer per row,
-// after the blob's 4-byte row count (the layout globalSession.Finish
-// writes). pages is the page count a session would have been fed.
-func sizeGlobal(g GlobalDict, schema *value.Schema, win value.Window, pages int) (Result, error) {
+// sizeGlobal is GlobalDict's size-only route over the index's rows in
+// order: per column, the 4-byte entry count, d fixed-width entries and one
+// p-byte pointer per row, after the blob's 4-byte row count (the layout
+// globalSession.Finish writes). pages is the page count a session would
+// have been fed.
+func sizeGlobal(g GlobalDict, schema *value.Schema, records [][]byte, pages int) (Result, error) {
 	if g.PointerBytes < 0 || g.PointerBytes > 8 {
 		return Result{}, fmt.Errorf("compress: pointer size %d out of range", g.PointerBytes)
 	}
-	n := int64(win.Len())
+	n := int64(len(records))
 	res := Result{
 		Rows:              n,
 		Pages:             pages,
@@ -205,7 +221,7 @@ func sizeGlobal(g GlobalDict, schema *value.Schema, win value.Window, pages int)
 	set := distinctSetPool.Get().(*distinctSet)
 	defer distinctSetPool.Put(set)
 	for _, span := range columnOffsets(schema) {
-		m := set.countArena(win, span[0], span[1])
+		m := set.countPage(records, span[0], span[1], nil)
 		p := g.PointerBytes
 		if p == 0 {
 			p = pointerSize(m)

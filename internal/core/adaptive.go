@@ -131,7 +131,7 @@ func (p *PreparedIndex) SDScale(opts Options, round int) (method string, scale f
 	if method == CIMethodTheorem1 {
 		return method, Theorem1StdDevBound(p.SampleRows()), nil
 	}
-	ci, err := bootstrapWindow(p.keySchema, p.win, opts.Codec, opts.PageSize, bootstrapResamples,
+	ci, err := p.bootstrap(opts.Codec, opts.PageSize, bootstrapResamples,
 		0.05, opts.Seed^0xb007^uint64(round)<<32)
 	if err != nil {
 		return method, 0, fmt.Errorf("core: bootstrap CI: %w", err)

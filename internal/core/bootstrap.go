@@ -7,7 +7,6 @@ import (
 	"samplecf/internal/compress"
 	"samplecf/internal/rng"
 	"samplecf/internal/sampling"
-	"samplecf/internal/sortkeys"
 	"samplecf/internal/stats"
 	"samplecf/internal/value"
 )
@@ -48,20 +47,27 @@ type BootstrapCI struct {
 // Bootstrap computes a percentile CI for a CF estimate by resampling the
 // key-projected sample arena underlying it. The sample must be re-supplied
 // (Estimate does not retain it); use SampleCFWithSample to get both in one
-// call. The whole resampling loop runs on arena offsets — an index draw, an
-// int32 permutation sort, and page measurement over aliased record slices —
-// so no per-row heap allocation happens at any B or r.
+// call. The sample is key-sorted once, and every resample is then read off
+// that sort (PreparedIndex.bootstrap).
 func Bootstrap(sample *value.RecordArena, codec compress.Codec,
 	pageSize int, resamples int, alpha float64, seed uint64) (BootstrapCI, error) {
 	if sample == nil {
 		return BootstrapCI{}, fmt.Errorf("core: bootstrap on empty sample")
 	}
-	return bootstrapWindow(sample.Schema(), sample.Full(), codec, pageSize, resamples, alpha, seed)
+	p := prepareWindow(sample.Full(), int64(sample.Len()), sample.Schema())
+	return p.bootstrap(codec, pageSize, resamples, alpha, seed)
 }
 
-// bootstrapWindow is Bootstrap over the index records of a window, whose
-// rows are keySchema records (a prepared index's window).
-func bootstrapWindow(keySchema *value.Schema, sample value.Window, codec compress.Codec,
+// bootstrap is Bootstrap over the prepared index's records. A
+// with-replacement resample, read in key order, is the key-sorted sample
+// with row j repeated c_j times, where c_j counts the draws of j: keys are
+// bijective with records, so the order among equal keys cannot change the
+// measured bytes. Each resample therefore counts its r draws into c and
+// walks perm once to emit its key-ordered permutation, with no sort and no
+// record gather, and sizes it through compress.MeasureResample over the
+// index's own window. The whole loop runs on int32 offsets, so no per-row
+// heap allocation happens at any B or r.
+func (p *PreparedIndex) bootstrap(codec compress.Codec,
 	pageSize int, resamples int, alpha float64, seed uint64) (BootstrapCI, error) {
 	if resamples < 10 {
 		return BootstrapCI{}, fmt.Errorf("core: bootstrap needs >= 10 resamples, got %d", resamples)
@@ -69,28 +75,28 @@ func bootstrapWindow(keySchema *value.Schema, sample value.Window, codec compres
 	if alpha <= 0 || alpha >= 1 {
 		return BootstrapCI{}, fmt.Errorf("core: bootstrap alpha %v outside (0,1)", alpha)
 	}
-	if sample.Len() == 0 {
+	r := p.win.Len()
+	if r == 0 {
 		return BootstrapCI{}, fmt.Errorf("core: bootstrap on empty sample")
 	}
-	r := sample.Len()
-	rpp := compress.RowsPerPage(keySchema, pageSizeOrDefault(pageSize))
+	rpp := compress.RowsPerPage(p.keySchema, pageSizeOrDefault(pageSize))
 	g := rng.New(seed)
 	cfs := make([]float64, 0, resamples)
 	var acc stats.Accumulator
-	perm := make([]int32, r)
-	recs := make([][]byte, r)
+	counts := make([]int32, r)
+	resample := make([]int32, 0, r)
 	for b := 0; b < resamples; b++ {
-		for i := range perm {
-			perm[i] = int32(g.Intn(r))
+		clear(counts)
+		for range r {
+			counts[g.Intn(r)]++
 		}
-		// Re-sort: the index on the resample is ordered (Fig. 2 step 2).
-		// Keys are bijective with records, so tie order cannot change the
-		// measured byte stream.
-		sortkeys.Sort(sample.Keys(), sample.Stride(), sample.Width(), perm)
-		for i, pi := range perm {
-			recs[i] = sample.Rec(int(pi))
+		resample = resample[:0]
+		for _, j := range p.perm {
+			for c := counts[j]; c > 0; c-- {
+				resample = append(resample, j)
+			}
 		}
-		res, err := compress.MeasureRecords(keySchema, codec, recs, rpp)
+		res, err := compress.MeasureResample(p.keySchema, codec, p.win, resample, rpp)
 		if err != nil {
 			return BootstrapCI{}, fmt.Errorf("core: bootstrap resample %d: %w", b, err)
 		}

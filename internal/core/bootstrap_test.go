@@ -1,11 +1,14 @@
 package core
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
 	"samplecf/internal/compress"
 	"samplecf/internal/distrib"
+	"samplecf/internal/rng"
+	"samplecf/internal/value"
 	"samplecf/internal/workload"
 )
 
@@ -153,5 +156,58 @@ func TestBootstrapDictCollapse(t *testing.T) {
 	mid := (ci.Lo + ci.Hi) / 2
 	if math.Abs(mid-predicted) > 0.08 {
 		t.Fatalf("bootstrap center %v far from predicted collapse %v", mid, predicted)
+	}
+}
+
+// benchBootstrapSample builds an r-row (customer CHAR(12), qty INT32)
+// arena: skewed customers over r/4 names, and quantities 1–50.
+func benchBootstrapSample(b *testing.B, r int) *value.RecordArena {
+	b.Helper()
+	schema, err := value.NewSchema(
+		value.Column{Name: "customer", Type: value.Char(12)},
+		value.Column{Name: "qty", Type: value.Int32()},
+	)
+	if err != nil {
+		b.Fatal(err)
+	}
+	g := rng.New(uint64(r))
+	d := max(r/4, 1)
+	ar := value.NewRecordArena(schema, r)
+	for i := 0; i < r; i++ {
+		row := value.Row{
+			[]byte(fmt.Sprintf("cust%d", g.Intn(g.Intn(d)+1))),
+			value.IntValue(int32(1 + g.Intn(50))),
+		}
+		if err := ar.Append(row); err != nil {
+			b.Fatal(err)
+		}
+	}
+	return ar
+}
+
+// BenchmarkBootstrap measures the bootstrap SD behind an adaptive round's
+// interval (SDScale: B=48 resamples, each read off the prepared sort and
+// sized) for codecs without an analytic bound, at sample sizes adaptive
+// asks reach. The SD is reported as the "sd" metric, so a change of
+// output shows beside a change of speed.
+func BenchmarkBootstrap(b *testing.B) {
+	for _, r := range []int{2401, 10_000} {
+		p, err := PrepareFromArena(benchBootstrapSample(b, r), 1_000_000, nil)
+		if err != nil {
+			b.Fatal(err)
+		}
+		for _, name := range []string{"rle", "pagedict", "page", "globaldict", "huffman"} {
+			opts := Options{Codec: mustCodec(b, name), Seed: 1}
+			b.Run(fmt.Sprintf("%s/r=%d", name, r), func(b *testing.B) {
+				b.ReportAllocs()
+				var sd float64
+				for i := 0; i < b.N; i++ {
+					if _, sd, err = p.SDScale(opts, 1); err != nil {
+						b.Fatal(err)
+					}
+				}
+				b.ReportMetric(sd, "sd")
+			})
+		}
 	}
 }

@@ -30,6 +30,7 @@ package core
 
 import (
 	"bytes"
+	"cmp"
 	"errors"
 	"fmt"
 	"math"
@@ -438,25 +439,13 @@ func AdaptiveEstimateStratified(arms []StratumArm, round0 []int64, target Precis
 
 	// scatter fans grow calls across the bounded workgroup semaphore (never
 	// an engine pool — callers may already run on a pool worker), then
-	// drops the arms whose Extend gave them up.
+	// drops the arms whose Extend gave them up. One target grows inline.
 	scatter := func(targets []*armLoop, extras []int64) error {
-		sem := workgroup.NewSem(workgroup.Limit(len(targets)) - 1)
-		var wg sync.WaitGroup
-		for i, l := range targets {
-			extra := extras[i]
-			if sem.TryAcquire() {
-				wg.Add(1)
-				go func(l *armLoop) {
-					defer wg.Done()
-					defer sem.Release()
-					defer workgroup.Recover(&l.err)
-					l.err = grow(l, extra)
-				}(l)
-			} else {
-				l.err = grow(l, extra)
-			}
+		if len(targets) == 1 {
+			targets[0].err = grow(targets[0], extras[0])
+		} else {
+			fanOut(targets, extras, grow)
 		}
-		wg.Wait()
 		var dropped []error
 		for _, l := range targets {
 			if l.err == nil {
@@ -491,8 +480,10 @@ func AdaptiveEstimateStratified(arms []StratumArm, round0 []int64, target Precis
 	}
 
 	var cf, half float64
+	var plan planner
+	strata := make([]stats.Stratum, len(loops))
 	for {
-		strata := make([]stats.Stratum, len(loops))
+		strata = strata[:len(loops)]
 		for i, l := range loops {
 			if l.dirty {
 				armOpts := opts
@@ -533,7 +524,7 @@ func AdaptiveEstimateStratified(arms []StratumArm, round0 []int64, target Precis
 		if res.Method == CIMethodTheorem1 {
 			floor = Theorem1RequiredRows(z, target.TargetError) - rows
 		}
-		chosen, extras := extension(loops, floor, target.MaxSampleRows-rows, target.MaxSampleRows > 0)
+		chosen, extras := plan.extension(loops, floor, target.MaxSampleRows-rows, target.MaxSampleRows > 0)
 		if err := scatter(chosen, extras); err != nil {
 			return AdaptiveResult{}, err
 		}
@@ -586,6 +577,38 @@ func composedSD(loops []*armLoop, strata []stats.Stratum) float64 {
 	return math.Sqrt(sd*sd + v/(wsum*wsum))
 }
 
+// fanOut runs grow for every target across the bounded workgroup
+// semaphore, inline where no slot is free, and stores each error on its
+// arm.
+func fanOut(targets []*armLoop, extras []int64, grow func(*armLoop, int64) error) {
+	sem := workgroup.NewSem(workgroup.Limit(len(targets)) - 1)
+	var wg sync.WaitGroup
+	for i, l := range targets {
+		extra := extras[i]
+		if sem.TryAcquire() {
+			wg.Add(1)
+			go func(l *armLoop) {
+				defer wg.Done()
+				defer sem.Release()
+				defer workgroup.Recover(&l.err)
+				l.err = grow(l, extra)
+			}(l)
+		} else {
+			l.err = grow(l, extra)
+		}
+	}
+	wg.Wait()
+}
+
+// planner keeps extension's buffers across the rounds of one loop: the
+// slices a round's plan returns are overwritten by the next plan.
+type planner struct {
+	chosen []*armLoop
+	counts []int64
+	sigmas []float64
+	alloc  sampling.Allocator
+}
+
 // extension plans one refinement round: choose the arms whose variance
 // contribution dominates, double their cumulative sample — or plan floor
 // rows when that is more — and split the new rows by Neyman allocation
@@ -593,16 +616,14 @@ func composedSD(loops []*armLoop, strata []stats.Stratum) float64 {
 // rows, at least one each; when fewer rows remain than arms were chosen,
 // only the largest contributors (earlier arm first on ties) draw, one row
 // each. Every returned extra is ≥ 1.
-func extension(loops []*armLoop, floor, remaining int64, capped bool) ([]*armLoop, []int64) {
+func (pl *planner) extension(loops []*armLoop, floor, remaining int64, capped bool) ([]*armLoop, []int64) {
 	var maxC float64
 	for _, l := range loops {
 		if c := l.contribution(); c > maxC {
 			maxC = c
 		}
 	}
-	var chosen []*armLoop
-	var counts []int64
-	var sigmas []float64
+	chosen, counts, sigmas := pl.chosen[:0], pl.counts[:0], pl.sigmas[:0]
 	var want int64
 	for _, l := range loops {
 		if l.contribution() >= maxC/2 {
@@ -612,13 +633,14 @@ func extension(loops []*armLoop, floor, remaining int64, capped bool) ([]*armLoo
 			want += l.prep.SampleRows()
 		}
 	}
+	pl.chosen, pl.counts, pl.sigmas = chosen, counts, sigmas
 	want = max(want, floor)
 	if !capped || want <= remaining {
-		return chosen, sampling.NeymanAllocate(want, counts, sigmas)
+		return chosen, pl.alloc.Neyman(want, counts, sigmas)
 	}
 	if remaining < int64(len(chosen)) {
-		sort.SliceStable(chosen, func(i, j int) bool {
-			return chosen[i].contribution() > chosen[j].contribution()
+		slices.SortStableFunc(chosen, func(a, b *armLoop) int {
+			return cmp.Compare(b.contribution(), a.contribution())
 		})
 		chosen = chosen[:remaining]
 		extras := make([]int64, len(chosen))
@@ -629,7 +651,7 @@ func extension(loops []*armLoop, floor, remaining int64, capped bool) ([]*armLoo
 	}
 	// Scale the extras to the remaining budget, at least one row each,
 	// then trim the overshoot from the last arms.
-	extras := sampling.NeymanAllocate(want, counts, sigmas)
+	extras := pl.alloc.Neyman(want, counts, sigmas)
 	var scaled int64
 	for i := range extras {
 		extras[i] = extras[i] * remaining / want

@@ -246,15 +246,13 @@ func TestAnalyticNSMatchesCodec(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	recs := make([][]byte, len(rows))
-	for i, row := range rows {
-		rec, err := value.EncodeRecord(tab.Schema(), row, nil)
-		if err != nil {
+	ar := value.NewRecordArena(tab.Schema(), len(rows))
+	for _, row := range rows {
+		if err := ar.Append(row); err != nil {
 			t.Fatal(err)
 		}
-		recs[i] = rec
 	}
-	res, err := compress.MeasureRecords(tab.Schema(), mustCodec(t, "nullsuppression"), recs, 100)
+	res, err := compress.MeasureArena(tab.Schema(), mustCodec(t, "nullsuppression"), ar.Full(), nil, 100)
 	if err != nil {
 		t.Fatal(err)
 	}

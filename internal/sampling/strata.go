@@ -2,8 +2,10 @@ package sampling
 
 import (
 	"bytes"
+	"cmp"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"sync"
 
@@ -287,12 +289,50 @@ func (r *Router) consume(h, k int, reach int64) {
 // A nil or all-zero scores slice falls back to allocation proportional to
 // counts.
 func Allocate(total int64, counts []int64, scores []float64) []int64 {
-	out := make([]int64, len(counts))
+	var a Allocator
+	return a.Allocate(total, counts, scores)
+}
+
+// NeymanAllocate splits a total sample size across strata by Neyman
+// allocation, n_h ∝ N_h·σ_h: rows go where population mass times
+// within-stratum estimator spread is, which minimizes the composed
+// stratified variance for a fixed total. Strata whose σ_h is zero (or
+// unknown — all zeros) degrade gracefully to proportional allocation.
+func NeymanAllocate(total int64, counts []int64, sigmas []float64) []int64 {
+	var a Allocator
+	return a.Neyman(total, counts, sigmas)
+}
+
+// An Allocator runs Allocate and NeymanAllocate in buffers it keeps, for a
+// caller that allocates round after round (the adaptive arm loop). The
+// slice a call returns is the Allocator's own: the next call overwrites it.
+type Allocator struct {
+	out    []int64
+	scores []float64
+	rems   []allocRem
+}
+
+// allocRem is one stratum's fractional share, which largest-remainder
+// rounding ranks.
+type allocRem struct {
+	frac    float64
+	stratum int
+}
+
+// Allocate is the package's Allocate in a's buffers.
+func (a *Allocator) Allocate(total int64, counts []int64, scores []float64) []int64 {
+	out := slices.Grow(a.out[:0], len(counts))[:len(counts)]
+	clear(out)
+	a.out = out
 	var countTotal int64
 	for _, c := range counts {
 		countTotal += c
 	}
 	if countTotal == 0 {
+		return out
+	}
+	if len(counts) == 1 && total >= 0 {
+		out[0] = max(total, 1) // one stratum takes everything
 		return out
 	}
 	var scoreTotal float64
@@ -305,11 +345,7 @@ func Allocate(total int64, counts []int64, scores []float64) []int64 {
 		}
 		return float64(total) * scores[h] / scoreTotal
 	}
-	type rem struct {
-		frac    float64
-		stratum int
-	}
-	rems := make([]rem, 0, len(counts))
+	rems := a.rems[:0]
 	var used int64
 	for h, c := range counts {
 		if c == 0 {
@@ -319,17 +355,17 @@ func Allocate(total int64, counts []int64, scores []float64) []int64 {
 		base := int64(exact)
 		out[h] = base
 		used += base
-		rems = append(rems, rem{frac: exact - float64(base), stratum: h})
+		rems = append(rems, allocRem{frac: exact - float64(base), stratum: h})
 	}
-	sort.Slice(rems, func(i, j int) bool {
-		if rems[i].frac != rems[j].frac {
-			return rems[i].frac > rems[j].frac
+	a.rems = rems
+	slices.SortFunc(rems, func(x, y allocRem) int {
+		if c := cmp.Compare(y.frac, x.frac); c != 0 {
+			return c
 		}
-		return rems[i].stratum < rems[j].stratum
+		return cmp.Compare(x.stratum, y.stratum)
 	})
-	for left := total - used; left > 0 && len(rems) > 0; left-- {
-		out[rems[0].stratum]++
-		rems = rems[1:]
+	for i := 0; int64(i) < total-used && i < len(rems); i++ {
+		out[rems[i].stratum]++
 	}
 	for h, c := range counts {
 		if c > 0 && out[h] == 0 {
@@ -339,15 +375,13 @@ func Allocate(total int64, counts []int64, scores []float64) []int64 {
 	return out
 }
 
-// NeymanAllocate splits a total sample size across strata by Neyman
-// allocation, n_h ∝ N_h·σ_h: rows go where population mass times
-// within-stratum estimator spread is, which minimizes the composed
-// stratified variance for a fixed total. Strata whose σ_h is zero (or
-// unknown — all zeros) degrade gracefully to proportional allocation.
-func NeymanAllocate(total int64, counts []int64, sigmas []float64) []int64 {
-	scores := make([]float64, len(counts))
+// Neyman is the package's NeymanAllocate in a's buffers.
+func (a *Allocator) Neyman(total int64, counts []int64, sigmas []float64) []int64 {
+	scores := slices.Grow(a.scores[:0], len(counts))[:len(counts)]
+	a.scores = scores
 	any := false
 	for h, c := range counts {
+		scores[h] = 0
 		if h < len(sigmas) && sigmas[h] > 0 {
 			scores[h] = float64(c) * sigmas[h]
 			any = true
@@ -356,5 +390,5 @@ func NeymanAllocate(total int64, counts []int64, sigmas []float64) []int64 {
 	if !any {
 		scores = nil
 	}
-	return Allocate(total, counts, scores)
+	return a.Allocate(total, counts, scores)
 }
