@@ -169,11 +169,7 @@ func measureArena(keySchema *value.Schema, codec Codec, win value.Window, perm [
 					return Result{}, err
 				}
 			}
-			viewPtr := pageViewPool.Get().(*[][]byte)
-			defer pageViewPool.Put(viewPtr)
-			rows := fillPageView((*viewPtr)[:0], win, perm, 0, n)
-			*viewPtr = rows[:0]
-			return sizeGlobal(c, keySchema, rows, pages)
+			return sizeGlobal(c, keySchema, win, perm, pages)
 		}
 	}
 	// Any other codec: feed a session page by page (cross-page state forces

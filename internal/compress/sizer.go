@@ -116,16 +116,15 @@ type suppressedSizer interface {
 // The count reads the rows' order first and hashes only where it must. A
 // value equal to its predecessor is never new. While a column's values
 // ascend, every value is new and the count is the run count, so nothing is
-// hashed; at the first descent the table is seeded with the run heads seen
-// so far, and every later row that differs from its predecessor is
-// hashed. The count is exact in any order. The leading column of a
-// key-sorted page — a sorted index's, and every bootstrap resample's —
-// ascends (an integer column's stored bytes descend once, where the sign
-// changes), so it hashes little or nothing.
+// hashed; at the first descent the table is seeded with every row so far
+// (a repeat is not new), and every later row that differs from its
+// predecessor is hashed. The count is exact in any order. The leading
+// column of a key-sorted page — a sorted index's, and every bootstrap
+// resample's — ascends (an integer column's stored bytes descend once,
+// where the sign changes), so it hashes little or nothing.
 type distinctSet struct {
 	slots []int32
 	mask  uint64
-	heads []int32 // run heads while the values ascend: row indices, each a new value
 }
 
 var (
@@ -152,7 +151,6 @@ func (s *distinctSet) reset(n int) {
 // records, calling onNew (when non-nil) with the row index of each value's
 // first appearance.
 func (s *distinctSet) countPage(records [][]byte, lo, hi int, onNew func(i int)) int {
-	s.heads = s.heads[:0]
 	hashing := false
 	m := 0
 	var prev []byte
@@ -161,22 +159,17 @@ func (s *distinctSet) countPage(records [][]byte, lo, hi int, onNew func(i int))
 		if i > 0 && string(v) == string(prev) {
 			continue
 		}
-		ascending := !hashing && (i == 0 || string(v) > string(prev))
+		if !hashing && i > 0 && string(v) < string(prev) {
+			// First descent: seed the table with every row so far.
+			hashing = true
+			s.reset(len(records))
+			for j := range i {
+				s.insert(records, j, lo, hi)
+			}
+		}
 		prev = v
-		if ascending {
-			s.heads = append(s.heads, int32(i))
-		} else {
-			if !hashing {
-				// First descent: every run head so far is a distinct value.
-				hashing = true
-				s.reset(len(records))
-				for _, j := range s.heads {
-					s.insert(records, int(j), lo, hi)
-				}
-			}
-			if !s.insert(records, i, lo, hi) {
-				continue
-			}
+		if hashing && !s.insert(records, i, lo, hi) {
+			continue
 		}
 		m++
 		if onNew != nil {
@@ -202,16 +195,64 @@ func (s *distinctSet) insert(records [][]byte, i, lo, hi int) bool {
 	}
 }
 
-// sizeGlobal is GlobalDict's size-only route over the index's rows in
-// order: per column, the 4-byte entry count, d fixed-width entries and one
+// countWindow is countPage over the rows of win that perm names, in perm
+// order (every row in order when perm is nil), read straight from the
+// window's flat record buffer, so no per-row view is built.
+func (s *distinctSet) countWindow(win value.Window, perm []int32, lo, hi int) int {
+	n, w, recs := win.Len(), win.Stride(), win.Recs()
+	col := func(i int) []byte {
+		if perm != nil {
+			i = int(perm[i])
+		}
+		return recs[i*w+lo : i*w+hi]
+	}
+	insert := func(i int) bool {
+		v := col(i)
+		for pos := maphash.Bytes(distinctSeed, v) & s.mask; ; pos = (pos + 1) & s.mask {
+			j := s.slots[pos]
+			if j == 0 {
+				s.slots[pos] = int32(i + 1)
+				return true
+			}
+			if string(col(int(j)-1)) == string(v) {
+				return false
+			}
+		}
+	}
+	hashing := false
+	m := 0
+	var prev []byte
+	for i := range n {
+		v := col(i)
+		if i > 0 && string(v) == string(prev) {
+			continue
+		}
+		if !hashing && i > 0 && string(v) < string(prev) {
+			hashing = true
+			s.reset(n)
+			for j := range i {
+				insert(j)
+			}
+		}
+		prev = v
+		if hashing && !insert(i) {
+			continue
+		}
+		m++
+	}
+	return m
+}
+
+// sizeGlobal is GlobalDict's size-only route over the rows of win that
+// perm names, in perm order (every row when perm is nil): per column, the 4-byte entry count, d fixed-width entries and one
 // p-byte pointer per row, after the blob's 4-byte row count (the layout
 // globalSession.Finish writes). pages is the page count a session would
 // have been fed.
-func sizeGlobal(g GlobalDict, schema *value.Schema, records [][]byte, pages int) (Result, error) {
+func sizeGlobal(g GlobalDict, schema *value.Schema, win value.Window, perm []int32, pages int) (Result, error) {
 	if g.PointerBytes < 0 || g.PointerBytes > 8 {
 		return Result{}, fmt.Errorf("compress: pointer size %d out of range", g.PointerBytes)
 	}
-	n := int64(len(records))
+	n := int64(win.Len())
 	res := Result{
 		Rows:              n,
 		Pages:             pages,
@@ -221,7 +262,7 @@ func sizeGlobal(g GlobalDict, schema *value.Schema, records [][]byte, pages int)
 	set := distinctSetPool.Get().(*distinctSet)
 	defer distinctSetPool.Put(set)
 	for _, span := range columnOffsets(schema) {
-		m := set.countPage(records, span[0], span[1], nil)
+		m := set.countWindow(win, perm, span[0], span[1])
 		p := g.PointerBytes
 		if p == 0 {
 			p = pointerSize(m)

@@ -439,13 +439,25 @@ func AdaptiveEstimateStratified(arms []StratumArm, round0 []int64, target Precis
 
 	// scatter fans grow calls across the bounded workgroup semaphore (never
 	// an engine pool — callers may already run on a pool worker), then
-	// drops the arms whose Extend gave them up. One target grows inline.
+	// drops the arms whose Extend gave them up.
 	scatter := func(targets []*armLoop, extras []int64) error {
-		if len(targets) == 1 {
-			targets[0].err = grow(targets[0], extras[0])
-		} else {
-			fanOut(targets, extras, grow)
+		sem := workgroup.NewSem(workgroup.Limit(len(targets)) - 1)
+		var wg sync.WaitGroup
+		for i, l := range targets {
+			extra := extras[i]
+			if sem.TryAcquire() {
+				wg.Add(1)
+				go func(l *armLoop) {
+					defer wg.Done()
+					defer sem.Release()
+					defer workgroup.Recover(&l.err)
+					l.err = grow(l, extra)
+				}(l)
+			} else {
+				l.err = grow(l, extra)
+			}
 		}
+		wg.Wait()
 		var dropped []error
 		for _, l := range targets {
 			if l.err == nil {
@@ -575,29 +587,6 @@ func composedSD(loops []*armLoop, strata []stats.Stratum) float64 {
 		return sd
 	}
 	return math.Sqrt(sd*sd + v/(wsum*wsum))
-}
-
-// fanOut runs grow for every target across the bounded workgroup
-// semaphore, inline where no slot is free, and stores each error on its
-// arm.
-func fanOut(targets []*armLoop, extras []int64, grow func(*armLoop, int64) error) {
-	sem := workgroup.NewSem(workgroup.Limit(len(targets)) - 1)
-	var wg sync.WaitGroup
-	for i, l := range targets {
-		extra := extras[i]
-		if sem.TryAcquire() {
-			wg.Add(1)
-			go func(l *armLoop) {
-				defer wg.Done()
-				defer sem.Release()
-				defer workgroup.Recover(&l.err)
-				l.err = grow(l, extra)
-			}(l)
-		} else {
-			l.err = grow(l, extra)
-		}
-	}
-	wg.Wait()
 }
 
 // planner keeps extension's buffers across the rounds of one loop: the

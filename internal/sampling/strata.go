@@ -293,18 +293,8 @@ func Allocate(total int64, counts []int64, scores []float64) []int64 {
 	return a.Allocate(total, counts, scores)
 }
 
-// NeymanAllocate splits a total sample size across strata by Neyman
-// allocation, n_h ∝ N_h·σ_h: rows go where population mass times
-// within-stratum estimator spread is, which minimizes the composed
-// stratified variance for a fixed total. Strata whose σ_h is zero (or
-// unknown — all zeros) degrade gracefully to proportional allocation.
-func NeymanAllocate(total int64, counts []int64, sigmas []float64) []int64 {
-	var a Allocator
-	return a.Neyman(total, counts, sigmas)
-}
-
-// An Allocator runs Allocate and NeymanAllocate in buffers it keeps, for a
-// caller that allocates round after round (the adaptive arm loop). The
+// An Allocator runs Allocate and Neyman allocation in buffers it keeps, for
+// a caller that allocates round after round (the adaptive arm loop). The
 // slice a call returns is the Allocator's own: the next call overwrites it.
 type Allocator struct {
 	out    []int64
@@ -329,10 +319,6 @@ func (a *Allocator) Allocate(total int64, counts []int64, scores []float64) []in
 		countTotal += c
 	}
 	if countTotal == 0 {
-		return out
-	}
-	if len(counts) == 1 && total >= 0 {
-		out[0] = max(total, 1) // one stratum takes everything
 		return out
 	}
 	var scoreTotal float64
@@ -375,7 +361,11 @@ func (a *Allocator) Allocate(total int64, counts []int64, scores []float64) []in
 	return out
 }
 
-// Neyman is the package's NeymanAllocate in a's buffers.
+// Neyman splits a total sample size across strata by Neyman allocation,
+// n_h ∝ N_h·σ_h: rows go where population mass times within-stratum
+// estimator spread is, which minimizes the composed stratified variance
+// for a fixed total. Strata whose σ_h is zero (or unknown — all zeros)
+// degrade gracefully to proportional allocation.
 func (a *Allocator) Neyman(total int64, counts []int64, sigmas []float64) []int64 {
 	scores := slices.Grow(a.scores[:0], len(counts))[:len(counts)]
 	a.scores = scores

@@ -435,17 +435,18 @@ func TestAllocate(t *testing.T) {
 		t.Errorf("single stratum allocated %d, want 500", got[0])
 	}
 	// Neyman: rows follow N_h·σ_h, not N_h.
-	got = NeymanAllocate(100, []int64{500, 500}, []float64{0.01, 0.03})
+	var a Allocator
+	got = a.Neyman(100, []int64{500, 500}, []float64{0.01, 0.03})
 	if got[0] != 25 || got[1] != 75 {
 		t.Errorf("Neyman allocation = %v, want [25 75]", got)
 	}
 	// All-zero sigmas fall back to proportional.
-	got = NeymanAllocate(100, []int64{750, 250}, []float64{0, 0})
+	got = a.Neyman(100, []int64{750, 250}, []float64{0, 0})
 	if got[0] != 75 || got[1] != 25 {
 		t.Errorf("zero-sigma Neyman allocation = %v, want [75 25]", got)
 	}
 	var total int64
-	for _, c := range NeymanAllocate(97, []int64{11, 700, 289}, []float64{0.4, 0.001, 0.2}) {
+	for _, c := range a.Neyman(97, []int64{11, 700, 289}, []float64{0.4, 0.001, 0.2}) {
 		total += c
 	}
 	if total != 97 {
